@@ -26,7 +26,13 @@ from pathlib import Path
 import numpy as np
 
 from . import analysis, rates
-from .errors import InsufficientData, UnknownPreset
+from .errors import (
+    EmptyBetaInterval,
+    InfeasibleAlpha,
+    InsufficientData,
+    OutOfBox,
+    UnknownPreset,
+)
 from .optimizers import AlgorithmConfig, RunResult, StoppingRule, run
 from .perturbations import (
     PerturbationSpec,
@@ -234,7 +240,7 @@ def _t41_checks(problem: Problem, setup: RunSetup, result: RunResult) -> list[Ch
         return []
     try:
         consts = analysis.rate_constants(problem, "T41", cfg.alpha, cfg.beta, cfg.s)
-    except Exception:
+    except (InfeasibleAlpha, EmptyBetaInterval, OutOfBox):
         return []  # out of box: warned elsewhere, nothing to certify
     rho = consts["rho"]
     recs = result.records

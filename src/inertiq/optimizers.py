@@ -25,6 +25,7 @@ x_0 = x_1; Hessian-corrected variants take g_0 = grad f(x_0).
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
 
@@ -247,10 +248,16 @@ def run(
     evals = 0
 
     def make_record(k: int, x: Vector, step: float) -> IterateRecord:
+        # x is owned by the record: every recorded array is a private copy
+        # (x_0, x_1) or a fresh step result, and none is written afterwards.
         fx = float(problem.func(x))
         gx = problem.grad(x)
         value_error = fx - fstar if use_value else fx
-        dist = float(np.linalg.norm(x - xstar)) if xstar is not None else float("nan")
+        if xstar is not None:
+            diff = x - xstar
+            dist = math.sqrt(diff.dot(diff))
+        else:
+            dist = float("nan")
         if c_energy is not None and c_energy > 0:
             energy = value_error + 0.5 * c_energy * step * step
         elif c_energy == 0.0:
@@ -259,9 +266,9 @@ def run(
             energy = float("nan")
         return IterateRecord(
             k=k,
-            x=x.copy(),
+            x=x,
             value_error=value_error,
-            grad_norm=float(np.linalg.norm(gx)),
+            grad_norm=math.sqrt(gx.dot(gx)),
             dist=dist,
             step=step,
             energy=energy,
@@ -275,7 +282,8 @@ def run(
         return metric <= stop.tol
 
     records = [make_record(0, x_prev, 0.0)]
-    step1 = float(np.linalg.norm(x_cur - x_prev))
+    d1 = x_cur - x_prev
+    step1 = math.sqrt(d1.dot(d1))
     records.append(make_record(1, x_cur, step1))
     if hit_tol(records[-1]):
         return RunResult(records, "tol", evals, tuple(box_warnings))
@@ -288,7 +296,7 @@ def run(
         g_cache = problem.grad(x_prev)  # g_0 = grad f(x_0)
         evals += 1
 
-    sample_noise = cfg.perturb.model != "none"
+    sample_noise = not cfg.perturb.is_zero
     per_step = _grad_evals_per_step(cfg)
     trigger = "max_iter"
     k = 1
@@ -299,17 +307,19 @@ def run(
         else:
             x_next, g_cache = step_baseline(problem, cfg, x_cur, x_prev, g_cache, eps)
         evals += per_step
-        if not np.all(np.isfinite(x_next)):
+        # One reduction guards both: NaN and inf propagate through max.
+        xmax = float(np.abs(x_next).max())
+        if not math.isfinite(xmax):
             raise NonFiniteIterate(
                 f"iterate {k + 1} is non-finite; last finite k = {k}",
                 last_finite_k=k,
             )
-        xmax = float(np.max(np.abs(x_next)))
         if xmax > BLOWUP_NORM:
             raise Divergence(
                 f"iterates blew up at k = {k + 1} (|x| = {xmax:.3g})", when=k + 1
             )
-        step = float(np.linalg.norm(x_next - x_cur))
+        dx = x_next - x_cur
+        step = math.sqrt(dx.dot(dx))
         records.append(make_record(k + 1, x_next, step))
         if hit_tol(records[-1]):
             trigger = "tol"

@@ -23,7 +23,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from numpy.typing import NDArray
 
-from .errors import NonPositiveTime
+from .errors import DimensionMismatch, NonPositiveTime
 
 Vector = NDArray[np.float64]
 
@@ -84,7 +84,7 @@ class PerturbationSpec:
 
     direction applies to power_decay only: "e1" (first basis vector),
     "random" (counter-based unit direction per index), or an explicit
-    vector, which is normalized.
+    vector, which is normalized and must have the problem's dimension.
     """
 
     model: str = "none"
@@ -166,7 +166,9 @@ def _unit_direction(spec: PerturbationSpec, index: int, dim: int) -> Vector:
         return u / nrm
     vec = np.asarray(spec.direction, dtype=np.float64)
     if vec.shape[0] != dim:
-        vec = np.resize(vec, dim)
+        raise DimensionMismatch(
+            f"perturbation direction has length {vec.shape[0]}, expected {dim}"
+        )
     return vec / float(np.linalg.norm(vec))
 
 

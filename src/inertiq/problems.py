@@ -107,11 +107,15 @@ def _sine_well() -> Problem:
     Lipschitz with L = 6.  Unique minimizer x* = 0 with f(x*) = 0.
     """
 
+    # Points are unpacked to Python floats once: the same IEEE-754 doubles
+    # as numpy scalars, without per-operation numpy dispatch.
     def f(x: Vector) -> float:
-        return float(x[0] * x[0] + 2.0 * math.sin(x[0]) ** 2)
+        (t,) = x.tolist()
+        return t * t + 2.0 * math.sin(t) ** 2
 
     def g(x: Vector) -> Vector:
-        return np.array([2.0 * x[0] + 2.0 * math.sin(2.0 * x[0])])
+        (t,) = x.tolist()
+        return np.array([2.0 * t + 2.0 * math.sin(2.0 * t)])
 
     return Problem(
         dimension=1,
@@ -135,12 +139,12 @@ def _arctan_basin() -> Problem:
     """
 
     def f(p: Vector) -> float:
-        x, y = p
+        x, y = p.tolist()
         u = x * x + 2.0 * y * y + 0.2
-        return float(x * x / 10.0 + y * y / 5.0 - math.atan(1.0 / u))
+        return x * x / 10.0 + y * y / 5.0 - math.atan(1.0 / u)
 
     def g(p: Vector) -> Vector:
-        x, y = p
+        x, y = p.tolist()
         u = x * x + 2.0 * y * y + 0.2
         w = 1.0 / (u * u + 1.0)
         return np.array([x / 5.0 + 2.0 * x * w, 2.0 * y / 5.0 + 4.0 * y * w])

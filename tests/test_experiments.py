@@ -130,6 +130,39 @@ class TestExecute:
         assert "warning:" in render_summary(summary)
 
 
+class TestT41Checks:
+    @staticmethod
+    def _single(alpha, beta):
+        from inertiq import AlgorithmConfig, RunSetup, StoppingRule
+
+        cfg = AlgorithmConfig(variant="IAA", alpha=alpha, beta=beta, s=1.0 / 6.0)
+        stop = StoppingRule(tol=None, max_iter=30)
+        return ExperimentConfig(
+            problem="example51", runs=(RunSetup("run", cfg, (3.0,), stop),)
+        )
+
+    def test_in_box_run_has_both_checks(self):
+        summary = execute(self._single(0.3, 0.2))
+        assert [c.name for c in summary.checks] == [
+            "T41_energy_contraction[run]",
+            "T41_rate_bounds[run]",
+        ]
+
+    def test_out_of_box_run_has_none(self):
+        summary = execute(self._single(0.45, 0.01))
+        assert summary.checks == ()
+
+    def test_other_errors_propagate(self, monkeypatch):
+        from inertiq import analysis
+
+        def broken(*args, **kwargs):
+            raise ZeroDivisionError("bug in rate_constants")
+
+        monkeypatch.setattr(analysis, "rate_constants", broken)
+        with pytest.raises(ZeroDivisionError):
+            execute(self._single(0.3, 0.2))
+
+
 class TestConfigFile:
     CONFIG = """
 [experiment]

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from inertiq import (
     AlgorithmConfig,
@@ -180,6 +181,65 @@ class TestRun:
             run(bad, cfg, [1.0], stop=StoppingRule(tol=None, max_iter=10))
         assert exc.value.last_finite_k == 1
 
+    def test_infinite_iterate_is_nonfinite_not_divergence(self):
+        bad = Problem(
+            dimension=1,
+            func=lambda x: float(x[0] ** 2),
+            grad=lambda x: x * np.inf,
+            gamma=1.0,
+            lipschitz=1.0,
+        )
+        cfg = AlgorithmConfig(variant="HBM", alpha=0.5, beta=0.1)
+        with pytest.raises(NonFiniteIterate) as exc:
+            run(bad, cfg, [1.0], stop=StoppingRule(tol=None, max_iter=10))
+        assert exc.value.last_finite_k == 1
+
+    def test_nan_in_one_coordinate(self):
+        # x_{k+1} = x_k / 2 from (1, 1); the gradient's second coordinate
+        # turns NaN once x_k[1] < 0.3, i.e. at x_3 = (0.25, 0.25).
+        def grad(x):
+            return np.array([x[0], np.nan if x[1] < 0.3 else x[1]])
+
+        bad = Problem(
+            dimension=2,
+            func=lambda x: float(0.5 * np.dot(x, x)),
+            grad=grad,
+            gamma=1.0,
+            lipschitz=1.0,
+        )
+        cfg = AlgorithmConfig(variant="HBM", alpha=0.0, beta=0.5)
+        with pytest.raises(NonFiniteIterate) as exc:
+            run(bad, cfg, [1.0, 1.0], stop=StoppingRule(tol=None, max_iter=10))
+        assert exc.value.last_finite_k == 3
+
+    def test_divergence_when_is_exact(self):
+        # x_{k+1} = -10 x_k exactly from x_1 = 1, so |x_13| = 1e12 is still
+        # allowed and |x_14| = 1e13 is the first iterate past the guard.
+        p = make_quadratic([1.0])
+        cfg = AlgorithmConfig(variant="HBM", alpha=0.0, beta=11.0)
+        with pytest.raises(Divergence) as exc:
+            run(p, cfg, [1.0], stop=StoppingRule(tol=None, max_iter=100))
+        assert exc.value.when == 14
+
+    @pytest.mark.parametrize("variant", ["IAA", "HBM", "NAG", "HBM_H", "NAG_H"])
+    def test_records_own_their_arrays(self, variant):
+        basin = builtin_problem("example52")
+        noise = PerturbationSpec.gaussian(0.001, 0.01, seed=1)
+        if variant == "IAA":
+            cfg = AlgorithmConfig(variant="IAA", alpha=0.4, beta=0.15, s=0.125,
+                                  perturb=noise)
+        else:
+            cfg = AlgorithmConfig(variant=variant, alpha=0.7, beta=0.04, theta=0.05,
+                                  perturb=noise)
+        x0 = np.array([3.0, 3.0])
+        x1 = np.array([2.5, 3.0])
+        for start in ((x0,), (x0, x1)):
+            res = run(basin, cfg, *start, stop=StoppingRule(tol=None, max_iter=20))
+            arrays = [r.x for r in res.records] + list(start)
+            for i, a in enumerate(arrays):
+                for b in arrays[i + 1:]:
+                    assert not np.shares_memory(a, b)
+
     def test_unperturbed_iaa_per_is_bitwise_identical(self, sine_well):
         stop = StoppingRule(tol=None, max_iter=50)
         plain = run(sine_well, AlgorithmConfig(**IAA_BENCH), [3.0], stop=stop)
@@ -260,3 +320,55 @@ class TestCertifiedContraction:
         mask = fe[half:] > 0
         slope = np.polyfit(np.log(ks[half:][mask]), np.log(fe[half:][mask]), 1)[0]
         assert slope <= -2.0 + 0.4
+
+
+# Reference formulas of the built-in objectives on numpy scalars.
+def _example51_func_ref(x):
+    return float(x[0] * x[0] + 2.0 * math.sin(x[0]) ** 2)
+
+
+def _example51_grad_ref(x):
+    return np.array([2.0 * x[0] + 2.0 * math.sin(2.0 * x[0])])
+
+
+def _example52_func_ref(p):
+    x, y = p
+    u = x * x + 2.0 * y * y + 0.2
+    return float(x * x / 10.0 + y * y / 5.0 - math.atan(1.0 / u))
+
+
+def _example52_grad_ref(p):
+    x, y = p
+    u = x * x + 2.0 * y * y + 0.2
+    w = 1.0 / (u * u + 1.0)
+    return np.array([x / 5.0 + 2.0 * x * w, 2.0 * y / 5.0 + 4.0 * y * w])
+
+
+_coords = st.floats(min_value=-1e100, max_value=1e100, allow_nan=False)
+
+
+class TestBuiltinObjectivesBitwise:
+    """The built-in objectives equal their numpy-scalar reference formulas
+    bit for bit, signed zeros included."""
+
+    @settings(max_examples=300, database=None, derandomize=True)
+    @given(st.lists(_coords, min_size=1, max_size=1))
+    def test_example51(self, point):
+        p = builtin_problem("example51")
+        x = np.array(point)
+        value = p.func(x)
+        assert type(value) is float
+        assert np.float64(value).tobytes() == np.float64(_example51_func_ref(x)).tobytes()
+        assert p.grad(x).tobytes() == _example51_grad_ref(x).tobytes()
+
+    @settings(max_examples=300, database=None, derandomize=True)
+    @given(st.lists(_coords, min_size=2, max_size=2))
+    def test_example52(self, point):
+        p = builtin_problem("example52")
+        x = np.array(point)
+        value = p.func(x)
+        assert type(value) is float
+        with np.errstate(over="ignore"):  # u * u overflows to inf on both sides
+            func_ref, grad_ref = _example52_func_ref(x), _example52_grad_ref(x)
+        assert np.float64(value).tobytes() == np.float64(func_ref).tobytes()
+        assert p.grad(x).tobytes() == grad_ref.tobytes()

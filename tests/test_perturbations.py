@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from inertiq import PerturbationSpec, parse_perturbation, sample_continuous, sample_discrete
-from inertiq.errors import NonPositiveTime
+from inertiq.errors import DimensionMismatch, NonPositiveTime
 from inertiq.perturbations import format_perturbation
 
 
@@ -40,6 +40,24 @@ class TestPowerDecay:
         assert np.linalg.norm(a) == pytest.approx(2.0 / 5.0, rel=1e-12)
         c = sample_discrete(spec, 6, 4)
         assert not np.array_equal(a, c)
+
+    def test_explicit_direction_is_normalized(self):
+        spec = PerturbationSpec.power(c0=1.0, p=1.0, direction=(3.0, 4.0))
+        np.testing.assert_array_equal(sample_discrete(spec, 1, 2), [0.6, 0.8])
+
+    def test_explicit_direction_longer_than_dimension(self):
+        # (0, 1) at d = 1 used to be truncated to (0,) and normalized to nan
+        spec = PerturbationSpec.power(c0=1.0, p=1.0, direction=(0.0, 1.0))
+        with pytest.raises(DimensionMismatch):
+            sample_discrete(spec, 1, 1)
+        with pytest.raises(DimensionMismatch):
+            sample_continuous(spec, 1.0, 1)
+
+    def test_explicit_direction_shorter_than_dimension(self):
+        # (1, 0) at d = 3 used to be tiled to (1, 0, 1)
+        spec = PerturbationSpec.power(c0=1.0, p=1.0, direction=(1.0, 0.0))
+        with pytest.raises(DimensionMismatch):
+            sample_discrete(spec, 1, 3)
 
     def test_continuous_profile(self):
         spec = PerturbationSpec.power(c0=2.0, p=1.0)
