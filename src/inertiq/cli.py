@@ -10,6 +10,7 @@ Exit codes: 0 success, 1 check failure, 2 usage error, 3 runtime divergence.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 from pathlib import Path
 
@@ -78,11 +79,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("opt", parents=[common], help="run one algorithm")
     p.add_argument("--problem", default="example51")
-    p.add_argument(
-        "--algo",
-        choices=["iaa", "hbm", "nag", "hbm-h", "nag-h"],
-        default="iaa",
-    )
+    p.add_argument("--algo", choices=list(optimizers.ALGO_NAMES), default="iaa")
     p.add_argument("--alpha", type=float, default=0.3)
     p.add_argument("--beta", type=float, default=0.2)
     p.add_argument("--theta", type=float, default=0.0)
@@ -95,7 +92,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None, help="iterate CSV path")
 
     p = sub.add_parser("exp", parents=[common], help="run a preset or config file")
-    p.add_argument("target", help="preset name (fig12|fig34|fig45) or config path")
+    p.add_argument(
+        "target", help=f"preset name ({'|'.join(experiments.PRESETS)}) or config path"
+    )
     p.add_argument("--seeds", default=None, help="comma-separated seed list override")
 
     p = sub.add_parser("rate", parents=[common], help="fit a decay rate from a run CSV")
@@ -195,10 +194,9 @@ def cmd_ode(args) -> int:
 
 def cmd_opt(args) -> int:
     problem = builtin_problem(args.problem)
-    algo_map = {"iaa": "IAA", "hbm": "HBM", "nag": "NAG", "hbm-h": "HBM_H", "nag-h": "NAG_H"}
     pert = parse_perturbation(args.perturb, seed=args.seed)
     cfg = optimizers.AlgorithmConfig(
-        variant=algo_map[args.algo],
+        variant=optimizers.ALGO_NAMES[args.algo],
         alpha=args.alpha,
         beta=args.beta,
         theta=args.theta,
@@ -226,7 +224,7 @@ def cmd_opt(args) -> int:
 
 def cmd_exp(args) -> int:
     target = args.target
-    if target in ("fig12", "fig34", "fig45"):
+    if target in experiments.PRESETS:
         cfg = experiments.preset(target)
     elif Path(target).exists():
         cfg = experiments.read_config(target)
@@ -234,13 +232,7 @@ def cmd_exp(args) -> int:
         raise UnknownPreset(f"{target!r} is neither a preset nor a config file")
     if args.seeds:
         seeds = tuple(int(t) for t in args.seeds.replace(",", " ").split())
-        cfg = experiments.ExperimentConfig(
-            problem=cfg.problem,
-            runs=cfg.runs,
-            seeds=seeds,
-            outputs=cfg.outputs,
-            emit=cfg.emit,
-        )
+        cfg = dataclasses.replace(cfg, seeds=seeds)
     summary = experiments.execute(cfg, out_dir=args.out_dir, quiet=True)
     if not args.quiet:
         print(experiments.render_summary(summary))

@@ -7,9 +7,10 @@ Simulates the second-order system
 as a first-order system in (x, v) with a fixed-step classical 4th-order
 Runge-Kutta scheme.  Fixed stepping (no adaptivity) keeps runs bitwise
 deterministic, which the golden-CSV and perturbation-reproducibility
-contracts rely on.  Deterministic perturbations are evaluated at every
-stage time; Gaussian draws are frozen once per step so stage-inconsistent
-noise cannot destroy the integrator's order.
+contracts rely on.  The perturbation is one additive term of the
+acceleration.  Power-law magnitudes are evaluated at every stage time (a
+random direction is drawn once per step); Gaussian draws are frozen once
+per step so stage-inconsistent noise cannot destroy the integrator's order.
 
 Evaluating the gradient at the look-ahead point x + beta*x' is what
 produces the implicit Hessian damping: its first-order expansion is
@@ -79,7 +80,7 @@ def rhs(
     if frozen_eps is not None:
         if np.any(frozen_eps):
             dv = dv + frozen_eps
-    elif pert.model != "none" and not pert.is_zero:
+    elif not pert.is_zero:
         dv = dv + sample_continuous(pert, state.t, problem.dimension)
     return v, dv
 
@@ -143,42 +144,31 @@ def integrate(
     half = 0.5 * dt
     sixth = dt / 6.0
 
-    gaussian = pert.model == "gaussian_decay" and not pert.is_zero
-    deterministic = pert.model == "power_decay" and not pert.is_zero
-    frozen = [np.zeros(dim)]  # per-step Gaussian draw, updated before each step
+    perturbed = not pert.is_zero
+    gaussian = perturbed and pert.model == "gaussian_decay"
+    frozen = None  # this step's Gaussian draw
 
-    if gaussian:
-
-        def accel(tt, xx, vv):
-            return -alpha * vv - grad(xx + beta * vv) + frozen[0]
-
-    elif deterministic:
-
-        def accel(tt, xx, vv):
-            return -alpha * vv - grad(xx + beta * vv) + sample_continuous(
-                pert, tt, dim
-            )
-
-    else:
-
-        def accel(tt, xx, vv):
-            return -alpha * vv - grad(xx + beta * vv)
+    def accel(j, tt, xx, vv):
+        a = -alpha * vv - grad(xx + beta * vv)
+        if perturbed:
+            a = a + (frozen if gaussian else sample_continuous(pert, tt, dim, step=j))
+        return a
 
     records = [_make_record(problem, alpha, beta, t0, x, v)]
     for j in range(n_steps):
         t = t0 + j * dt
         if gaussian:
-            frozen[0] = sample_continuous(pert, t, dim, step=j)
-        k1v = accel(t, x, v)
+            frozen = sample_continuous(pert, t, dim, step=j)
+        k1v = accel(j, t, x, v)
         x2 = x + half * v
         v2 = v + half * k1v
-        k2v = accel(t + half, x2, v2)
+        k2v = accel(j, t + half, x2, v2)
         x3 = x + half * v2
         v3 = v + half * k2v
-        k3v = accel(t + half, x3, v3)
+        k3v = accel(j, t + half, x3, v3)
         x4 = x + dt * v3
         v4 = v + dt * k3v
-        k4v = accel(t + dt, x4, v4)
+        k4v = accel(j, t + dt, x4, v4)
         x = x + sixth * (v + 2.0 * v2 + 2.0 * v3 + v4)
         v = v + sixth * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
         t_next = t0 + (j + 1) * dt

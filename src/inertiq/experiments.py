@@ -33,7 +33,7 @@ from .errors import (
     OutOfBox,
     UnknownPreset,
 )
-from .optimizers import AlgorithmConfig, RunResult, StoppingRule, run
+from .optimizers import ALGO_NAMES, METHODS, AlgorithmConfig, RunResult, StoppingRule, run
 from .perturbations import (
     PerturbationSpec,
     format_perturbation,
@@ -42,6 +42,7 @@ from .perturbations import (
 from .problems import Problem, builtin_problem
 
 EMIT_KINDS = frozenset({"csv", "summary", "checks"})
+PRESETS = ("fig12", "fig34", "fig45")
 
 
 @dataclass(frozen=True)
@@ -123,7 +124,7 @@ def _sine_well_runs(stop: StoppingRule) -> tuple[RunSetup, ...]:
 
 
 def preset(name: str) -> ExperimentConfig:
-    """Benchmark preset by name: fig12, fig34, or fig45."""
+    """Benchmark preset by name, one of ``PRESETS``."""
     if name == "fig12":
         return ExperimentConfig(
             problem="example51",
@@ -164,7 +165,7 @@ def preset(name: str) -> ExperimentConfig:
         return ExperimentConfig(
             problem="example52", runs=runs, seeds=tuple(range(1, 11))
         )
-    raise UnknownPreset(f"unknown preset {name!r}; expected fig12, fig34 or fig45")
+    raise UnknownPreset(f"unknown preset {name!r}; expected one of {', '.join(PRESETS)}")
 
 
 # ---------------------------------------------------------------------------
@@ -180,7 +181,7 @@ def write_run_csv(path: Path, result: RunResult, setup: RunSetup) -> None:
     dim = result.records[0].x.shape[0]
     coord_names = ["x"] if dim == 1 else [f"x{i}" for i in range(dim)]
     cfg = setup.config
-    injection = "s*eps_k" if cfg.variant == "IAA" else "beta*eps_k"
+    injection = f"{METHODS[cfg.variant].step_size}*eps_k"
     header = (
         f"# {setup.label}: variant={cfg.variant} alpha={cfg.alpha:g} "
         f"beta={cfg.beta:g} theta={cfg.theta:g} s={cfg.s if cfg.s else 0:g} "
@@ -234,7 +235,7 @@ def write_trajectory_csv(path: Path, records, header_note: str = "") -> None:
 def _t41_checks(problem: Problem, setup: RunSetup, result: RunResult) -> list[CheckResult]:
     """Certified-bound assertions for an unperturbed in-box IAA run."""
     cfg = setup.config
-    if cfg.variant != "IAA" or cfg.perturb.model != "none":
+    if cfg.variant != "IAA" or not cfg.perturb.is_zero:
         return []
     if problem.min_value is None or problem.minimizer is None:
         return []
@@ -447,13 +448,6 @@ def read_config(path: str | Path) -> ExperimentConfig:
     emit = frozenset(exp.get("emit", "csv summary checks").split())
     outputs = exp.get("outputs", None)
 
-    algo_map = {
-        "iaa": "IAA",
-        "hbm": "HBM",
-        "nag": "NAG",
-        "hbm-h": "HBM_H",
-        "nag-h": "NAG_H",
-    }
     runs: list[RunSetup] = []
     for section in parser.sections():
         if not section.startswith("run"):
@@ -461,11 +455,11 @@ def read_config(path: str | Path) -> ExperimentConfig:
         label = section[3:].strip() or f"run{len(runs)}"
         sec = parser[section]
         algo = sec.get("algo", "iaa").lower()
-        if algo not in algo_map:
+        if algo not in ALGO_NAMES:
             raise ValueError(f"{path}: unknown algo {algo!r} in [{section}]")
         pert = parse_perturbation(sec.get("perturb", "none"), seed=seeds[0])
         config = AlgorithmConfig(
-            variant=algo_map[algo],
+            variant=ALGO_NAMES[algo],
             alpha=sec.getfloat("alpha", 0.0),
             beta=sec.getfloat("beta", 0.0),
             theta=sec.getfloat("theta", 0.0),

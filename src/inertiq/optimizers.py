@@ -1,26 +1,20 @@
 """Discrete inertial algorithms with uniform recording and stopping rules.
 
-Variants
---------
-IAA     the extrapolated-gradient method obtained by discretizing the
-        implicit-Hessian-damped flow with step sqrt(s):
+The five methods are one momentum recursion.  With d = x_k - x_{k-1} and
+g_k = grad f(x_k):
 
-            y_k = x_k + alpha (x_k - x_{k-1})
-            z_k = x_k + beta  (x_k - x_{k-1})
-            x_{k+1} = y_k - s grad f(z_k) [+ s eps_k]
+    y_k     = x_k + alpha d  [- theta (g_k - g_{k-1})]
+    x_{k+1} = y_k - h grad f(p_k)  [+ h eps_k]
 
-        (The continuous coefficients map to the discrete ones as
-        alpha_disc = 1 - alpha_cont*sqrt(s), beta_disc = beta_cont/sqrt(s).)
-HBM     x_{k+1} = x_k + alpha (x_k - x_{k-1}) - beta grad f(x_k)
-NAG     gradient at the extrapolated point y_k instead of x_k
-HBM_H   y_k gains the correction -theta (grad f(x_k) - grad f(x_{k-1}));
-        gradient step at x_k
-NAG_H   same correction; gradient step at y_k
-
-For the baselines beta is the gradient step size; perturbed baselines add
-beta*eps_k to x_{k+1} (IAA adds s*eps_k), matching each method's own step
-scale.  Startup convention x_{-1} := x_0, so momentum terms vanish when
-x_0 = x_1; Hessian-corrected variants take g_0 = grad f(x_0).
+``METHODS`` holds what tells them apart: the gradient point p_k and whether
+the bracketed Hessian correction applies.  The step size h is s for IAA,
+whose beta places its look-ahead point z_k = x_k + beta d, and beta for the
+baselines, so a perturbation enters at each method's own step scale.  IAA
+discretizes the implicit-Hessian-damped flow with step sqrt(s); the
+continuous coefficients map to the discrete ones as
+alpha_disc = 1 - alpha_cont*sqrt(s), beta_disc = beta_cont/sqrt(s).
+Startup convention x_{-1} := x_0, so momentum terms vanish when x_0 = x_1;
+Hessian-corrected variants take g_0 = grad f(x_0).
 """
 
 from __future__ import annotations
@@ -28,6 +22,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -43,7 +38,34 @@ from .errors import (
 from .perturbations import PerturbationSpec, sample_discrete
 from .problems import Problem, Vector, as_point
 
-VARIANTS = ("IAA", "HBM", "NAG", "HBM_H", "NAG_H")
+
+class Method(NamedTuple):
+    """What one variant's update looks like in the shared recursion."""
+
+    grad_at: str  # "x" (x_k), "y" (momentum point y_k) or "z" (IAA's z_k)
+    hessian_correction: bool
+
+    @property
+    def step_size(self) -> str:
+        """Name of the coefficient h that scales the gradient and eps_k."""
+        return "s" if self.grad_at == "z" else "beta"
+
+    @property
+    def grad_evals_per_step(self) -> int:
+        """grad f(p_k), plus g_k when the correction needs it at another point."""
+        return 2 if self.hessian_correction and self.grad_at != "x" else 1
+
+
+METHODS = {
+    "IAA": Method("z", False),  # extrapolated gradient, the paper's method
+    "HBM": Method("x", False),  # heavy ball
+    "NAG": Method("y", False),  # Nesterov
+    "HBM_H": Method("x", True),
+    "NAG_H": Method("y", True),
+}
+VARIANTS = tuple(METHODS)
+# The spelling of each variant in ``inertiq opt --algo`` and config files.
+ALGO_NAMES = {variant.lower().replace("_", "-"): variant for variant in VARIANTS}
 BLOWUP_NORM = 1e12
 
 
@@ -67,11 +89,10 @@ class AlgorithmConfig:
             raise ValueError(f"unknown variant {self.variant!r}; expected {VARIANTS}")
         if self.alpha < 0 or self.beta < 0 or self.theta < 0:
             raise ValueError("alpha, beta, theta must be nonnegative")
-        if self.variant == "IAA":
-            if self.s is None or not (self.s > 0):
-                raise ValueError("IAA needs a positive step size s")
-        elif not (self.beta > 0):
-            raise ValueError(f"{self.variant} needs a positive step size beta")
+        step_size = METHODS[self.variant].step_size
+        h = getattr(self, step_size)
+        if h is None or not (h > 0):
+            raise ValueError(f"{self.variant} needs a positive step size {step_size}")
 
 
 @dataclass(frozen=True)
@@ -157,41 +178,31 @@ def step_baseline(
 
     The cached gradient is grad f(x_k) for HBM/HBM_H/NAG_H (the Hessian
     correction of the next step needs it); NAG caches nothing, keeping it
-    at one gradient evaluation per iterate.
+    at one gradient evaluation per iterate.  x_k and x_km1 must be float
+    arrays, as ``run`` passes them: the update is built in place.
     """
-    d = x_k - x_km1
-    g_cache: Vector | None = None
-    if cfg.variant == "HBM":
-        g_cache = problem.grad(x_k)
-        x_next = x_k + cfg.alpha * d - cfg.beta * g_cache
-    elif cfg.variant == "NAG":
-        y = x_k + cfg.alpha * d
-        x_next = y - cfg.beta * problem.grad(y)
-    elif cfg.variant == "HBM_H":
-        if g_km1 is None:
-            raise MissingGradientCache(
-                "HBM_H needs grad f(x_{k-1}); pass g_km1 (g_0 = grad f(x_0))"
-            )
-        g_cache = problem.grad(x_k)
-        y = x_k + cfg.alpha * d - cfg.theta * (g_cache - g_km1)
-        x_next = y - cfg.beta * g_cache
-    elif cfg.variant == "NAG_H":
-        if g_km1 is None:
-            raise MissingGradientCache(
-                "NAG_H needs grad f(x_{k-1}); pass g_km1 (g_0 = grad f(x_0))"
-            )
-        g_cache = problem.grad(x_k)
-        y = x_k + cfg.alpha * d - cfg.theta * (g_cache - g_km1)
-        x_next = y - cfg.beta * problem.grad(y)
-    else:
+    method = METHODS[cfg.variant]
+    if method.grad_at == "z":
         raise ValueError(f"step_baseline got variant {cfg.variant!r}")
+    if method.hessian_correction and g_km1 is None:
+        raise MissingGradientCache(
+            f"{cfg.variant} needs grad f(x_{{k-1}}); pass g_km1 (g_0 = grad f(x_0))"
+        )
+    g_cache = None
+    if method.grad_at == "x" or method.hessian_correction:
+        g_cache = problem.grad(x_k)
+    # In place on one fresh array: fewer 512 KB temporaries at large d
+    # (README, "Performance"), and the same IEEE-754 operations as
+    # x_k + alpha*d - beta*g, so the same bits.
+    y = x_k - x_km1
+    y *= cfg.alpha
+    y += x_k
+    if method.hessian_correction:
+        y -= cfg.theta * (g_cache - g_km1)
+    y -= cfg.beta * (g_cache if method.grad_at == "x" else problem.grad(y))
     if eps_k is not None and np.any(eps_k):
-        x_next = x_next + cfg.beta * eps_k
-    return x_next, g_cache
-
-
-def _grad_evals_per_step(cfg: AlgorithmConfig) -> int:
-    return 2 if cfg.variant == "NAG_H" else 1
+        y += cfg.beta * eps_k
+    return y, g_cache
 
 
 def validate_against_box(problem: Problem, cfg: AlgorithmConfig) -> list[str]:
@@ -290,14 +301,14 @@ def run(
     if stop.max_iter <= 1:
         return RunResult(records, "max_iter", evals, tuple(box_warnings))
 
-    needs_cache = cfg.variant in ("HBM_H", "NAG_H")
+    method = METHODS[cfg.variant]
     g_cache: Vector | None = None
-    if needs_cache:
+    if method.hessian_correction:
         g_cache = problem.grad(x_prev)  # g_0 = grad f(x_0)
         evals += 1
 
     sample_noise = not cfg.perturb.is_zero
-    per_step = _grad_evals_per_step(cfg)
+    per_step = method.grad_evals_per_step
     trigger = "max_iter"
     k = 1
     while True:

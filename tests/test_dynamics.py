@@ -1,6 +1,8 @@
 """Continuous-time integration: RHS, accuracy, energy decay, certificates."""
 
+import hashlib
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -14,6 +16,8 @@ from inertiq import (
     rate_certificate,
     rhs,
 )
+from inertiq import dynamics
+from inertiq.cli import main
 from inertiq.dynamics import TrajectoryRecord
 from inertiq.errors import Divergence, EmptyTrajectory, NonFiniteState
 from inertiq.problems import Problem
@@ -144,6 +148,96 @@ class TestIntegrate:
         with pytest.raises(ValueError):
             integrate(sine_well, 1.0, 0.1, PerturbationSpec.none(), [1.0], [0.0],
                       t0=2.0, t_end=1.0)
+
+
+def _records_digest(records):
+    h = hashlib.sha256()
+    for r in records:
+        h.update(r.x.tobytes())
+        h.update(r.v.tobytes())
+        for value in (r.t, r.value_error, r.traj_error, r.speed, r.energy):
+            h.update(struct.pack("<d", value))
+    return h.hexdigest()
+
+
+_PINNED_PERTURBATIONS = {
+    "none": (PerturbationSpec.none(), 0.0),
+    "power_e1": (PerturbationSpec.power(0.1, 1.0), 1.0),
+    "gauss": (PerturbationSpec.gaussian(0.01, 0.01, seed=3), 0.0),
+}
+
+
+class TestIntegrateRecordsPinned:
+    """SHA-256 of every record, fixed before the three perturbation-specific
+    accelerations of ``integrate`` became one (x86-64, IEEE-754 doubles)."""
+
+    PINNED = {
+        ("example51", "none"):
+            "2822b0c7fab41ebbef96f14108702f911c71497385c14374a16a2dedee6daa46",
+        ("example51", "power_e1"):
+            "6130b8a503fb56bb12e49a64fb6104f44191d773f207f9d4de3ac5599a146ec2",
+        ("example51", "gauss"):
+            "bbcd50409dd1138d0d7e689b81e733f9e7a38d048f6d7daba3b3a2288b262126",
+        ("example52", "none"):
+            "76d5cf0914a8bc271497d2677f158bb7643e013c2b512189effa8e6d9a55f1a2",
+        ("example52", "power_e1"):
+            "482df85dbd8a2e8e8b6aa30a685677c489021b42a58e04231c17d39f36e99fc6",
+        ("example52", "gauss"):
+            "2fd4e88ad2f520a6423f87083034ff1bb422b6a173a56f95e2866b4c20383372",
+    }
+
+    @pytest.mark.parametrize("name, pert", sorted(PINNED))
+    def test_digest(self, name, pert):
+        problem = builtin_problem(name)
+        spec, t0 = _PINNED_PERTURBATIONS[pert]
+        dim = problem.dimension
+        recs = integrate(problem, 1.0, 0.1, spec, [3.0] * dim, [0.0] * dim,
+                         t0=t0, t_end=t0 + 3.0, dt=1e-2)
+        assert _records_digest(recs) == self.PINNED[(name, pert)]
+
+
+class TestRandomDirectionForcing:
+    """Power-law forcing along a random direction: the direction is drawn once
+    per step, the magnitude c0/t^p at each stage time."""
+
+    ARGS = ["ode", "--problem", "example51", "--alpha", "1", "--x0", "3",
+            "--t-end", "3", "--perturb", "power:c0=0.1,p=1,dir=random", "--quiet"]
+
+    def test_cli_runs(self):
+        assert main(self.ARGS) == 0
+
+    def test_seeded(self):
+        basin = builtin_problem("example52")
+
+        def trajectory(seed):
+            spec = PerturbationSpec.power(0.1, 1.0, direction="random", seed=seed)
+            return integrate(basin, 1.0, 0.1, spec, [3.0, 3.0], [0.0, 0.0],
+                             t0=1.0, t_end=3.0, dt=1e-2)
+
+        a, b, c = trajectory(5), trajectory(5), trajectory(6)
+        assert _records_digest(a) == _records_digest(b)
+        assert _records_digest(a) != _records_digest(c)
+
+
+class TestModuleAttributeContract:
+    """integrate() looks sample_continuous up on the dynamics module at call
+    time; the benchmark's traced run replaces that name."""
+
+    @pytest.mark.parametrize("spec, per_step", [
+        (PerturbationSpec.gaussian(0.01, 0.01, seed=1), 1),  # frozen per step
+        (PerturbationSpec.power(0.1, 1.0), 4),  # one per RK4 stage
+    ])
+    def test_sample_calls(self, monkeypatch, sine_well, spec, per_step):
+        calls = []
+        original = dynamics.sample_continuous
+
+        def counting(*args, **kwargs):
+            calls.append(kwargs["step"])
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(dynamics, "sample_continuous", counting)
+        integrate(sine_well, 1.0, 0.1, spec, [3.0], [0.0], t0=1.0, t_end=1.1, dt=1e-2)
+        assert calls == [j for j in range(10) for _ in range(per_step)]
 
 
 class TestRateCertificate:

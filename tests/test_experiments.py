@@ -132,10 +132,11 @@ class TestExecute:
 
 class TestT41Checks:
     @staticmethod
-    def _single(alpha, beta):
-        from inertiq import AlgorithmConfig, RunSetup, StoppingRule
+    def _single(alpha, beta, perturb="none"):
+        from inertiq import AlgorithmConfig, RunSetup, StoppingRule, parse_perturbation
 
-        cfg = AlgorithmConfig(variant="IAA", alpha=alpha, beta=beta, s=1.0 / 6.0)
+        cfg = AlgorithmConfig(variant="IAA", alpha=alpha, beta=beta, s=1.0 / 6.0,
+                              perturb=parse_perturbation(perturb))
         stop = StoppingRule(tol=None, max_iter=30)
         return ExperimentConfig(
             problem="example51", runs=(RunSetup("run", cfg, (3.0,), stop),)
@@ -147,6 +148,12 @@ class TestT41Checks:
             "T41_energy_contraction[run]",
             "T41_rate_bounds[run]",
         ]
+
+    @pytest.mark.parametrize("perturb", ["power:c0=0,p=1", "gauss:sigma0=0,decay=0.01"])
+    def test_zero_magnitude_perturbation_is_unperturbed(self, perturb):
+        plain = execute(self._single(0.3, 0.2)).checks
+        assert len(plain) == 2
+        assert execute(self._single(0.3, 0.2, perturb)).checks == plain
 
     def test_out_of_box_run_has_none(self):
         summary = execute(self._single(0.45, 0.01))
@@ -281,6 +288,32 @@ class TestCli:
         code = main(["exp", "fig12", "--out-dir", str(tmp_path), "--quiet"])
         assert code == 0
         assert (tmp_path / "checks.txt").exists()
+
+    def test_exp_seeds_override(self, tmp_path):
+        assert main(["exp", "fig12", "--seeds", "3", "--out-dir", str(tmp_path / "a"),
+                     "--quiet"]) == 0
+        assert main(["exp", "fig45", "--seeds", "3", "--out-dir", str(tmp_path / "b"),
+                     "--quiet"]) == 0
+        names = sorted(f.name for f in (tmp_path / "b").glob("IAA-Per*.csv"))
+        assert names == ["IAA-Per_seed3.csv"]
+
+    @pytest.mark.parametrize("spelling, variant", [
+        ("iaa", "IAA"), ("hbm", "HBM"), ("nag", "NAG"), ("hbm-h", "HBM_H"),
+        ("nag-h", "NAG_H"),
+    ])
+    def test_algo_spellings(self, tmp_path, spelling, variant):
+        out = tmp_path / "run.csv"
+        code = main([
+            "opt", "--problem", "example51", "--algo", spelling, "--alpha", "0.3",
+            "--beta", "0.04", "--theta", "0.05", "--step", "0.16666666666666666",
+            "--x0", "3", "--no-tol", "--max-iter", "5", "--out", str(out), "--quiet",
+        ])
+        assert code == 0
+        assert f" variant={variant} " in out.read_text().splitlines()[0]
+        path = tmp_path / "exp.ini"
+        path.write_text(f"[experiment]\n[run r]\nalgo = {spelling}\nbeta = 0.04\n"
+                        "step = 0.16666666666666666\n")
+        assert read_config(path).runs[0].config.variant == variant
 
     def test_usage_errors(self):
         assert main(["exp", "fig99", "--quiet"]) == 2

@@ -1,6 +1,8 @@
 """Discrete algorithms: step formulas, runs, reductions, certified bounds."""
 
+import importlib.util
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,6 +19,7 @@ from inertiq import (
     step_baseline,
     step_iaa,
 )
+from inertiq import optimizers
 from inertiq.errors import Divergence, MissingGradientCache, NonFiniteIterate
 from inertiq.problems import Problem
 
@@ -94,6 +97,63 @@ class TestStepBaseline:
             cfg = AlgorithmConfig(variant=variant, alpha=0.7, beta=0.05, theta=0.05)
             with pytest.raises(MissingGradientCache):
                 step_baseline(sine_well, cfg, np.array([1.0]), np.array([2.0]))
+
+
+def _step_baseline_reference(problem, cfg, x_k, x_km1, g_km1=None, eps_k=None):
+    """The four hand-written baseline updates, kept as the reference that the
+    single recursion of ``step_baseline`` must equal bit for bit."""
+    d = x_k - x_km1
+    g_cache = None
+    if cfg.variant == "HBM":
+        g_cache = problem.grad(x_k)
+        x_next = x_k + cfg.alpha * d - cfg.beta * g_cache
+    elif cfg.variant == "NAG":
+        y = x_k + cfg.alpha * d
+        x_next = y - cfg.beta * problem.grad(y)
+    elif cfg.variant == "HBM_H":
+        g_cache = problem.grad(x_k)
+        y = x_k + cfg.alpha * d - cfg.theta * (g_cache - g_km1)
+        x_next = y - cfg.beta * g_cache
+    else:  # NAG_H
+        g_cache = problem.grad(x_k)
+        y = x_k + cfg.alpha * d - cfg.theta * (g_cache - g_km1)
+        x_next = y - cfg.beta * problem.grad(y)
+    if eps_k is not None and np.any(eps_k):
+        x_next = x_next + cfg.beta * eps_k
+    return x_next, g_cache
+
+
+_PROBLEM_BY_DIM = {
+    1: builtin_problem("example51"),
+    2: builtin_problem("example52"),
+    5: make_quadratic([0.1, 0.5, 1.0, 2.0, 4.0]),
+}
+
+
+class TestStepBaselineMatchesReference:
+    @settings(max_examples=400, database=None, derandomize=True)
+    @given(
+        variant=st.sampled_from(["HBM", "NAG", "HBM_H", "NAG_H"]),
+        dim=st.sampled_from([1, 2, 5]),
+        alpha=st.floats(min_value=0.0, max_value=2.0),
+        beta=st.floats(min_value=1e-6, max_value=1.0),
+        theta=st.floats(min_value=0.0, max_value=1.0),
+        data=st.data(),
+    )
+    def test_bitwise_equal(self, variant, dim, alpha, beta, theta, data):
+        vec = st.lists(st.floats(min_value=-10.0, max_value=10.0), min_size=dim,
+                       max_size=dim).map(np.array)
+        x_k, x_km1, g_km1 = data.draw(vec), data.draw(vec), data.draw(vec)
+        eps = data.draw(st.none() | st.just(np.zeros(dim)) | vec)
+        problem = _PROBLEM_BY_DIM[dim]
+        cfg = AlgorithmConfig(variant=variant, alpha=alpha, beta=beta, theta=theta)
+        x_next, cache = step_baseline(problem, cfg, x_k, x_km1, g_km1, eps)
+        ref_next, ref_cache = _step_baseline_reference(problem, cfg, x_k, x_km1, g_km1, eps)
+        assert x_next.tobytes() == ref_next.tobytes()
+        if ref_cache is None:
+            assert cache is None
+        else:
+            assert cache.tobytes() == ref_cache.tobytes()
 
 
 class TestRun:
@@ -248,6 +308,48 @@ class TestRun:
         perturbed = run(sine_well, nul, [3.0], stop=stop)
         for a, b in zip(plain.records, perturbed.records):
             assert a.x.tobytes() == b.x.tobytes()
+
+
+class TestModuleAttributeContract:
+    """run() looks its kernels up on the optimizers module at call time; the
+    benchmark's traced run (perfbench/spans.py) replaces exactly these names."""
+
+    @pytest.mark.parametrize("variant, step_name", [("IAA", "step_iaa"),
+                                                    ("HBM", "step_baseline")])
+    def test_run_resolves_kernels_at_call_time(self, monkeypatch, variant, step_name):
+        calls = {"step": 0, "sample": 0}
+
+        def counting(key, fn):
+            def wrapper(*args, **kwargs):
+                calls[key] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(optimizers, step_name,
+                            counting("step", getattr(optimizers, step_name)))
+        monkeypatch.setattr(optimizers, "sample_discrete",
+                            counting("sample", optimizers.sample_discrete))
+        noise = PerturbationSpec.gaussian(0.001, 0.01, seed=1)
+        cfg = (AlgorithmConfig(variant="IAA", alpha=0.3, beta=0.1, s=1.0 / 6.0,
+                               perturb=noise) if variant == "IAA"
+               else AlgorithmConfig(variant=variant, alpha=0.7, beta=1.0 / 24.0,
+                                    perturb=noise))
+        res = run(builtin_problem("example51"), cfg, [3.0],
+                  stop=StoppingRule(tol=None, max_iter=12))
+        assert res.final.k == 12
+        assert calls == {"step": 11, "sample": 11}
+
+    def test_benchmark_shim_targets_exist(self):
+        path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+        spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+        spans = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(spans)
+        original = optimizers.step_baseline
+        # installed() reads every attribute it replaces, so a renamed one
+        # raises AttributeError here.
+        with spans.installed(spans.Tracer(), {}):
+            assert optimizers.step_baseline is not original
+        assert optimizers.step_baseline is original
 
 
 class TestReductions:
