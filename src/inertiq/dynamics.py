@@ -65,11 +65,14 @@ def rhs(
     pert: PerturbationSpec,
     state: OdeState,
     frozen_eps: Vector | None = None,
+    step: int | None = None,
 ) -> tuple[Vector, Vector]:
     """Right-hand side (dx, dv) = (v, -alpha v - grad f(x + beta v) + eps(t)).
 
     ``frozen_eps`` overrides the perturbation model with a per-step frozen
-    vector (used by the integrator for Gaussian noise).
+    vector.  Otherwise eps(t) is ``sample_continuous(pert, t, dim, step)``;
+    Gaussian noise and random-direction power forcing need the integrator
+    step index ``step``, as in :func:`integrate`.
     """
     if not (alpha > 0) or beta < 0:
         raise ValueError("rhs needs alpha > 0 and beta >= 0")
@@ -81,7 +84,7 @@ def rhs(
         if np.any(frozen_eps):
             dv = dv + frozen_eps
     elif not pert.is_zero:
-        dv = dv + sample_continuous(pert, state.t, problem.dimension)
+        dv = dv + sample_continuous(pert, state.t, problem.dimension, step=step)
     return v, dv
 
 

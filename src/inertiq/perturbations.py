@@ -1,8 +1,11 @@
 """Perturbation models with a counter-based reproducibility contract.
 
-Every draw is a pure function of (seed, index, coordinate): the generator
-hashes the key with splitmix64 and maps the bits to uniforms, then to
-normals via Box-Muller.  Re-sampling any index returns the identical
+Every draw is a pure function of (seed, index, coordinate): a key is
+derived from (seed, index) with splitmix64, coordinate j of lane L hashes
+the counter key + L + j (mod 2^64) with splitmix64, and the top 53 bits
+become a uniform in (0, 1].  A standard normal takes u1 from lane 0 and
+u2 from lane 2^32 (counters key + j and key + 2^32 + j) and applies
+Box-Muller.  Re-sampling any index returns the identical
 vector regardless of call order, which keeps perturbed optimizer runs and
 ODE integrations bitwise reproducible even when consumers sample out of
 order or in parallel.
@@ -29,53 +32,76 @@ Vector = NDArray[np.float64]
 
 MODELS = ("none", "power_decay", "gaussian_decay")
 
-_MASK = np.uint64(0xFFFFFFFFFFFFFFFF)
-_GAMMA = np.uint64(0x9E3779B97F4A7C15)
+_M64 = 0xFFFFFFFFFFFFFFFF
+_GAMMA = 0x9E3779B97F4A7C15
 _MUL1 = np.uint64(0xBF58476D1CE4E5B9)
 _MUL2 = np.uint64(0x94D049BB133111EB)
-
-
-def _splitmix64(z):
-    """Vectorized splitmix64 finalizer; wraps modulo 2^64."""
-    z = (z + _GAMMA) & _MASK
-    z = ((z ^ (z >> np.uint64(30))) * _MUL1) & _MASK
-    z = ((z ^ (z >> np.uint64(27))) * _MUL2) & _MASK
-    return z ^ (z >> np.uint64(31))
+# uint64 scalar operands dispatch faster on uint64 arrays than Python ints
+_S11, _S27, _S30, _S31, _ONE = (np.uint64(v) for v in (11, 27, 30, 31, 1))
+_LANE_1 = 1 << 32  # counter offset of the second Box-Muller lane
 
 
 def _splitmix64_int(z: int) -> int:
     """Scalar splitmix64 on Python ints (numpy scalars warn on overflow)."""
-    mask = 0xFFFFFFFFFFFFFFFF
-    z = (z + 0x9E3779B97F4A7C15) & mask
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & mask
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
+    z = (z + _GAMMA) & _M64
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _M64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _M64
     return z ^ (z >> 31)
 
 
 def _key(seed: int, index: int) -> int:
-    s = seed & 0xFFFFFFFFFFFFFFFF
-    k = index & 0xFFFFFFFFFFFFFFFF
+    s = seed & _M64
+    k = index & _M64
     return _splitmix64_int(_splitmix64_int(s) ^ _splitmix64_int(k))
 
 
+def _uniforms(seed: int, index: int, lanes: tuple[int, ...], n: int) -> NDArray:
+    """Uniforms in (0, 1] of shape (len(lanes), n).
+
+    Entry (i, j) is splitmix64 of the counter key(seed, index) + lanes[i] + j
+    (mod 2^64), top 53 bits mapped to (0, 1].  The splitmix increment is
+    added to the Python-int key, uint64 arrays wrap modulo 2^64 without
+    masks, and every lane is hashed in one in-place pass.
+    """
+    base = _key(seed, index) + _GAMMA
+    z = np.array([(base + lane) & _M64 for lane in lanes], dtype=np.uint64)
+    z = z[:, None] + np.arange(n, dtype=np.uint64)
+    z ^= z >> _S30
+    z *= _MUL1
+    z ^= z >> _S27
+    z *= _MUL2
+    z ^= z >> _S31
+    # +1 keeps log() finite; the shift, the +1 and both float steps are exact.
+    z >>= _S11
+    z += _ONE
+    u = z.astype(np.float64)
+    u *= 2.0 ** -53
+    return u
+
+
 def counter_uniform(seed: int, index: int, n: int, lane: int = 0) -> Vector:
-    """n uniforms in (0, 1], keyed by (seed, index, coordinate, lane)."""
-    base = (_key(seed, index) + (lane & 0xFFFFFFFFFFFFFFFF)) & 0xFFFFFFFFFFFFFFFF
-    ctr = (np.uint64(base) + np.arange(n, dtype=np.uint64)) & _MASK
-    bits = _splitmix64(ctr)
-    # Top 53 bits -> (0, 1]; +1 keeps log() finite.
-    return ((bits >> np.uint64(11)).astype(np.float64) + 1.0) * (2.0 ** -53)
+    """n uniforms in (0, 1]; coordinate j hashes the counter
+    key(seed, index) + lane + j (mod 2^64)."""
+    return _uniforms(seed, index, (lane,), n)[0]
 
 
 def counter_standard_normal(seed: int, index: int, n: int) -> Vector:
     """n standard normals via Box-Muller on counter-based uniforms.
 
-    Coordinate j uses lanes (2j, 2j+1); the transform is fixed so golden
-    CSVs stay stable across platforms and versions.
+    Coordinate j takes u1 from counter key + j and u2 from counter
+    key + 2^32 + j, i.e. ``counter_uniform`` at lanes 0 and 2^32.  The
+    transform sqrt(-2 log u1) cos(2 pi u2) is fixed so golden CSVs stay
+    stable across platforms and versions.
     """
-    u1 = counter_uniform(seed, index, n, lane=0)
-    u2 = counter_uniform(seed, index, n, lane=1 << 32)
-    return np.sqrt(-2.0 * np.log(u1)) * np.cos(2.0 * np.pi * u2)
+    u = _uniforms(seed, index, (0, _LANE_1), n)
+    u1 = u[0]
+    u2 = u[1]
+    np.log(u1, out=u1)
+    u1 *= -2.0
+    np.sqrt(u1, out=u1)
+    u2 *= 2.0 * np.pi
+    np.cos(u2, out=u2)
+    return u1 * u2
 
 
 @dataclass(frozen=True)

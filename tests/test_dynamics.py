@@ -62,6 +62,22 @@ class TestRhs:
             rhs(sine_well, 1.0, 0.0, PerturbationSpec.none(),
                 OdeState(0.0, np.array([np.nan]), np.array([0.0])))
 
+    @pytest.mark.parametrize("spec", [
+        PerturbationSpec.power(0.1, 1.0, direction="random", seed=3),
+        PerturbationSpec.gaussian(0.1, 0.5, seed=3),
+    ])
+    @pytest.mark.parametrize("step", [0, 7])
+    def test_step_indexed_forcing(self, spec, step):
+        # the draws that need an integrator step index take it from ``step``
+        basin = builtin_problem("example52")
+        x, v = np.array([1.0, -0.5]), np.array([0.25, 2.0])
+        _, dv = rhs(basin, 1.0, 0.1, spec, OdeState(1.5, x, v), step=step)
+        expected = (-1.0 * v - basin.grad(x + 0.1 * v)
+                    + dynamics.sample_continuous(spec, 1.5, 2, step=step))
+        assert dv.tobytes() == expected.tobytes()
+        with pytest.raises(ValueError, match="step index"):
+            rhs(basin, 1.0, 0.1, spec, OdeState(1.5, x, v))
+
 
 class TestIntegrate:
     def test_constant_at_minimizer(self, sine_well):

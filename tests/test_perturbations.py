@@ -1,11 +1,19 @@
 """Counter-based perturbation models: exact laws and reproducibility."""
 
+import itertools
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from inertiq import PerturbationSpec, parse_perturbation, sample_continuous, sample_discrete
 from inertiq.errors import DimensionMismatch, NonPositiveTime
-from inertiq.perturbations import format_perturbation
+from inertiq.perturbations import (
+    counter_standard_normal,
+    counter_uniform,
+    format_perturbation,
+)
 
 
 class TestNone:
@@ -164,3 +172,113 @@ class TestGrammar:
             PerturbationSpec.power(c0=1.0, p=0.0)
         with pytest.raises(ValueError):
             PerturbationSpec(model="gaussian_decay", sigma0=-0.1)
+
+
+# The two-call generator (one key and one masked splitmix64 per Box-Muller
+# lane), kept as the reference that the single-pass generator must equal bit
+# for bit.
+_REF_MASK = np.uint64(0xFFFFFFFFFFFFFFFF)
+
+
+def _ref_splitmix64(z):
+    z = (z + np.uint64(0x9E3779B97F4A7C15)) & _REF_MASK
+    z = ((z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)) & _REF_MASK
+    z = ((z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)) & _REF_MASK
+    return z ^ (z >> np.uint64(31))
+
+
+def _ref_splitmix64_int(z):
+    mask = 0xFFFFFFFFFFFFFFFF
+    z = (z + 0x9E3779B97F4A7C15) & mask
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & mask
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
+    return z ^ (z >> 31)
+
+
+def _ref_key(seed, index):
+    s = seed & 0xFFFFFFFFFFFFFFFF
+    k = index & 0xFFFFFFFFFFFFFFFF
+    return _ref_splitmix64_int(_ref_splitmix64_int(s) ^ _ref_splitmix64_int(k))
+
+
+def _ref_counter_uniform(seed, index, n, lane=0):
+    base = (_ref_key(seed, index) + (lane & 0xFFFFFFFFFFFFFFFF)) & 0xFFFFFFFFFFFFFFFF
+    ctr = (np.uint64(base) + np.arange(n, dtype=np.uint64)) & _REF_MASK
+    bits = _ref_splitmix64(ctr)
+    return ((bits >> np.uint64(11)).astype(np.float64) + 1.0) * (2.0 ** -53)
+
+
+def _ref_counter_standard_normal(seed, index, n):
+    u1 = _ref_counter_uniform(seed, index, n, lane=0)
+    u2 = _ref_counter_uniform(seed, index, n, lane=1 << 32)
+    return np.sqrt(-2.0 * np.log(u1)) * np.cos(2.0 * np.pi * u2)
+
+
+# seeds, indices and lanes: negatives, 0, the 2^64 wrap and beyond
+_KEYS = st.one_of(
+    st.integers(min_value=-(2**70), max_value=2**70),
+    st.integers(min_value=2**64 - 8, max_value=2**64 + 8),
+    st.sampled_from([0, -1, 2**63, -(2**64)]),
+)
+_LANES = st.one_of(st.sampled_from([0, 1 << 32]), _KEYS)
+
+
+class TestSinglePassMatchesReference:
+    @settings(max_examples=500, database=None, derandomize=True)
+    @given(seed=_KEYS, index=_KEYS, n=st.integers(min_value=0, max_value=64), lane=_LANES)
+    @example(seed=7, index=2**64 + 3, n=2**16, lane=1 << 32)
+    def test_bitwise_equal(self, seed, index, n, lane):
+        normal = counter_standard_normal(seed, index, n)
+        uniform = counter_uniform(seed, index, n, lane)
+        assert normal.shape == uniform.shape == (n,)
+        assert normal.dtype == uniform.dtype == np.float64
+        assert normal.tobytes() == _ref_counter_standard_normal(seed, index, n).tobytes()
+        assert uniform.tobytes() == _ref_counter_uniform(seed, index, n, lane).tobytes()
+
+    def test_default_lane(self):
+        np.testing.assert_array_equal(counter_uniform(3, 4, 5), counter_uniform(3, 4, 5, 0))
+
+
+class TestDrawProperties:
+    """Counter-based draws are pure values: independent of call order, each
+    one a fresh array, and free of uint64 overflow warnings."""
+
+    @settings(max_examples=100, database=None, derandomize=True)
+    @given(pairs=st.lists(st.tuples(_KEYS, _KEYS), min_size=1, max_size=12, unique=True),
+           n=st.integers(min_value=0, max_value=8), data=st.data())
+    def test_call_order_independent(self, pairs, n, data):
+        shuffled = data.draw(st.permutations(pairs))
+
+        def draw_all(order):
+            return {p: (counter_standard_normal(*p, n).tobytes(),
+                        counter_uniform(*p, n, lane=p[0]).tobytes()) for p in order}
+
+        assert draw_all(shuffled) == draw_all(sorted(pairs))
+
+    def test_fresh_writable_arrays(self):
+        gauss = PerturbationSpec.gaussian(0.1, 0.0, seed=4)
+        draws = [
+            counter_standard_normal(4, 9, 3),
+            counter_standard_normal(4, 9, 3),
+            counter_uniform(4, 9, 3),
+            counter_uniform(4, 9, 3, lane=1 << 32),
+            sample_discrete(gauss, 9, 3),
+            sample_continuous(gauss, 1.0, 3, step=8),
+        ]
+        for a, b in itertools.combinations(draws, 2):
+            assert not np.shares_memory(a, b)
+        for a in draws:
+            assert a.flags.writeable and a.flags.c_contiguous
+        before = counter_standard_normal(4, 9, 3).copy()
+        draws[0][:] = 0.0
+        np.testing.assert_array_equal(counter_standard_normal(4, 9, 3), before)
+
+    @pytest.mark.parametrize("seed, index", [
+        (2**64 - 1, 2**64 - 1), (-1, -1), (2**65 + 3, 0), (0, -(2**64) - 1),
+    ])
+    def test_no_overflow_warnings(self, seed, index):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            counter_standard_normal(seed, index, 5)
+            counter_uniform(seed, index, 5, lane=2**64 - 1)
+            sample_discrete(PerturbationSpec.gaussian(0.1, 0.0, seed=seed), 1, 5)
