@@ -233,7 +233,7 @@ def cmd_exp(args) -> int:
     if args.seeds:
         seeds = tuple(int(t) for t in args.seeds.replace(",", " ").split())
         cfg = dataclasses.replace(cfg, seeds=seeds)
-    summary = experiments.execute(cfg, out_dir=args.out_dir, quiet=True)
+    summary = experiments.execute(cfg, out_dir=args.out_dir)
     if not args.quiet:
         print(experiments.render_summary(summary))
     return EXIT_OK if summary.all_checks_passed else EXIT_CHECK_FAILED

@@ -64,15 +64,13 @@ def rhs(
     beta: float,
     pert: PerturbationSpec,
     state: OdeState,
-    frozen_eps: Vector | None = None,
     step: int | None = None,
 ) -> tuple[Vector, Vector]:
     """Right-hand side (dx, dv) = (v, -alpha v - grad f(x + beta v) + eps(t)).
 
-    ``frozen_eps`` overrides the perturbation model with a per-step frozen
-    vector.  Otherwise eps(t) is ``sample_continuous(pert, t, dim, step)``;
-    Gaussian noise and random-direction power forcing need the integrator
-    step index ``step``, as in :func:`integrate`.
+    eps(t) is ``sample_continuous(pert, t, dim, step)``.  Gaussian noise and
+    random-direction power forcing need the integrator step index ``step``,
+    as in :func:`integrate`: their draws are frozen per step.
     """
     if not (alpha > 0) or beta < 0:
         raise ValueError("rhs needs alpha > 0 and beta >= 0")
@@ -80,10 +78,7 @@ def rhs(
     if not (np.all(np.isfinite(x)) and np.all(np.isfinite(v))):
         raise NonFiniteState(f"state at t = {state.t} contains NaN/Inf")
     dv = -alpha * v - problem.grad(x + beta * v)
-    if frozen_eps is not None:
-        if np.any(frozen_eps):
-            dv = dv + frozen_eps
-    elif not pert.is_zero:
+    if not pert.is_zero:
         dv = dv + sample_continuous(pert, state.t, problem.dimension, step=step)
     return v, dv
 

@@ -285,7 +285,6 @@ def _t41_checks(problem: Problem, setup: RunSetup, result: RunResult) -> list[Ch
 def execute(
     cfg: ExperimentConfig,
     out_dir: str | Path | None = None,
-    quiet: bool = True,
 ) -> ComparisonSummary:
     """Run every (run, seed) combination and assemble the comparison summary.
 
@@ -368,8 +367,6 @@ def execute(
         (out / "checks.txt").write_text(
             "\n".join(lines) + ("\n" if lines else ""), newline="\n"
         )
-    if not quiet:
-        print(render_summary(summary))
     return summary
 
 

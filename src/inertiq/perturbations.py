@@ -198,6 +198,17 @@ def _unit_direction(spec: PerturbationSpec, index: int, dim: int) -> Vector:
     return vec / float(np.linalg.norm(vec))
 
 
+def _draw(spec: PerturbationSpec, at: float, index: int, dim: int) -> Vector:
+    """Magnitude at iteration or time ``at`` times the direction drawn with
+    counter ``index``: c0 / at^p along a unit direction, or sigma(at) times
+    a standard normal."""
+    if spec.model == "none":
+        return np.zeros(dim)
+    if spec.model == "power_decay":
+        return (spec.c0 / float(at) ** spec.p) * _unit_direction(spec, index, dim)
+    return spec.sigma_at(at) * counter_standard_normal(spec.seed, index, dim)
+
+
 def sample_discrete(spec: PerturbationSpec, k: int, dim: int) -> Vector:
     """Perturbation vector eps_k for iteration index k >= 1.
 
@@ -205,12 +216,7 @@ def sample_discrete(spec: PerturbationSpec, k: int, dim: int) -> Vector:
     """
     if k < 1:
         raise ValueError(f"iteration index must be >= 1, got {k}")
-    if spec.model == "none":
-        return np.zeros(dim)
-    if spec.model == "power_decay":
-        return (spec.c0 / float(k) ** spec.p) * _unit_direction(spec, k, dim)
-    sigma = spec.sigma_at(k)
-    return sigma * counter_standard_normal(spec.seed, k, dim)
+    return _draw(spec, k, k, dim)
 
 
 def sample_continuous(
@@ -218,24 +224,16 @@ def sample_continuous(
 ) -> Vector:
     """Perturbation eps(t) for the continuous-time system.
 
-    power_decay is an exact function of t (requires t > 0).  gaussian_decay
-    draws are frozen per integrator step: the counter is the step index, so
-    ``step`` must be supplied (the integrator passes it); sigma follows the
-    schedule evaluated at t.
+    power_decay is an exact function of t (requires t > 0).  Random
+    directions and gaussian_decay draws are frozen per integrator step: the
+    counter is the step index + 1, so ``step`` must be supplied (the
+    integrator passes it); sigma follows the schedule evaluated at t.
     """
-    if spec.model == "none":
-        return np.zeros(dim)
-    if spec.model == "power_decay":
-        if t <= 0.0:
-            raise NonPositiveTime(f"power-decay perturbation needs t > 0, got {t}")
-        index = step + 1 if step is not None else 0
-        if spec.direction == "random" and step is None:
-            raise ValueError("random direction in continuous time needs a step index")
-        return (spec.c0 / float(t) ** spec.p) * _unit_direction(spec, index, dim)
-    if step is None:
-        raise ValueError("gaussian_decay in continuous time needs a step index")
-    sigma = spec.sigma_at(t)
-    return sigma * counter_standard_normal(spec.seed, step + 1, dim)
+    if spec.model == "power_decay" and t <= 0.0:
+        raise NonPositiveTime(f"power-decay perturbation needs t > 0, got {t}")
+    if step is None and spec.is_stochastic:
+        raise ValueError("random draws in continuous time need a step index")
+    return _draw(spec, t, 0 if step is None else step + 1, dim)
 
 
 def parse_perturbation(text: str, seed: int = 0) -> PerturbationSpec:

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from inertiq import (
     builtin_problem,
@@ -14,6 +15,8 @@ from inertiq import (
     parameter_box,
     rate_constants,
 )
+from inertiq.analysis import SLACK_TOL, AssumptionReport
+from inertiq.cli import main
 from inertiq.errors import (
     InfeasibleAlpha,
     MissingMinimizer,
@@ -213,6 +216,138 @@ class TestCheckAssumptions:
         )
         with pytest.raises(MissingMinimizer):
             check_assumptions(p, (-1.0, 1.0), samples=10, seed=0)
+
+
+    def test_nan_slack_is_a_violation(self):
+        # f is NaN on x >= 0.5: QuadGrowth, PL and A1 see NaN slacks there
+        p = Problem(
+            dimension=1,
+            func=lambda x: float(x[0] ** 2) if x[0] < 0.5 else math.nan,
+            grad=lambda x: 2.0 * x,
+            gamma=1.0,
+            lipschitz=2.0,
+            minimizer=np.array([0.0]),
+            min_value=0.0,
+        )
+        reports = {r.assumption: r for r in check_assumptions(p, (-1.0, 1.0), 400, 7)}
+        for tag in ("QuadGrowth", "PL", "A1"):
+            assert 0 < reports[tag].violations < 400
+            assert math.isnan(reports[tag].worst_margin)
+            assert not reports[tag].passed
+
+    def test_cli_nan_slack_exits_1(self, capsys):
+        # example51 overflows to f = inf on this box; inf - inf slacks are NaN
+        with np.errstate(over="ignore", invalid="ignore"):
+            code = main(["check", "--problem", "example51", "--box=-1e200,1e200",
+                         "--samples", "100", "--quiet"])
+        assert code == 1
+        rows = {ln.split()[0]: ln.split()[1:] for ln in
+                capsys.readouterr().out.splitlines()[1:]}
+        for tag in ("QuadGrowth", "PL", "A1"):
+            assert rows[tag] == ["100", "100", "nan", "False"]
+
+    @pytest.mark.parametrize("box", [
+        (-1e308, 1e308),
+        (-math.inf, 0.0),
+        [(-1.0, 1.0), (0.0, math.inf)],
+    ])
+    def test_box_without_finite_width(self, arctan_basin, box):
+        with pytest.raises(ValueError, match="finite width"):
+            check_assumptions(arctan_basin, box, samples=10, seed=0)
+
+    @pytest.mark.parametrize("box", ["-1e308,1e308", "-inf,inf"])
+    def test_cli_box_without_finite_width(self, capsys, box):
+        code = main(["check", "--problem", "example51", f"--box={box}", "--quiet"])
+        assert code == 2
+        assert "usage error:" in capsys.readouterr().err
+
+
+def _check_assumptions_reference(problem, box, samples, seed):
+    """The per-sample loop that ``check_assumptions`` replaced, kept as the
+    reference its array expressions must equal bit for bit."""
+    box = np.asarray(box, dtype=np.float64)
+    if box.shape == (2,):
+        box = np.tile(box, (problem.dimension, 1))
+    rng = np.random.default_rng(seed)
+    xstar, fstar = problem.minimizer, problem.min_value
+    gamma, L, kappa = problem.gamma, problem.lipschitz, problem.kappa
+
+    singles = rng.uniform(box[:, 0], box[:, 1], size=(samples, problem.dimension))
+    qg, pl, a1 = np.empty(samples), np.empty(samples), np.empty(samples)
+    for i, x in enumerate(singles):
+        fx = float(problem.func(x))
+        gx = problem.grad(x)
+        diff = x - xstar
+        d2 = float(np.dot(diff, diff))
+        qg[i] = fx - fstar - 0.25 * gamma * d2
+        pl[i] = float(np.dot(gx, gx)) - gamma**2 / (2.0 * L) * (fx - fstar)
+        a1[i] = float(np.dot(gx, diff)) - kappa * (fx - fstar)
+
+    pairs = rng.uniform(box[:, 0], box[:, 1], size=(samples, 2, problem.dimension))
+    sqc = np.empty(samples)
+    for i, (a, b) in enumerate(pairs):
+        fa, fb = float(problem.func(a)), float(problem.func(b))
+        x, y = (a, b) if fa <= fb else (b, a)
+        diff = y - x
+        sqc[i] = -0.5 * gamma * float(np.dot(diff, diff)) - float(
+            np.dot(problem.grad(y), x - y)
+        )
+
+    return [
+        AssumptionReport(tag, samples, int(np.sum(~(s >= SLACK_TOL))), float(s.min()))
+        for tag, s in (("QuadGrowth", qg), ("SQC", sqc), ("PL", pl), ("A1", a1))
+    ]
+
+
+def _soft_well():
+    """A custom 3-D problem: sum(x^2/2 + 0.1 sin^2 x), minimizer 0."""
+    return Problem(
+        dimension=3,
+        func=lambda x: float(0.5 * np.dot(x, x) + 0.1 * np.sum(np.sin(x) ** 2)),
+        grad=lambda x: x + 0.1 * np.sin(2.0 * x),
+        gamma=0.5,
+        lipschitz=1.2,
+        minimizer=np.zeros(3),
+    )
+
+
+_CHECK_PROBLEMS = {
+    "example51": builtin_problem("example51"),
+    "example52": builtin_problem("example52"),
+    "quadratic1": make_quadratic([0.7]),
+    "quadratic2": make_quadratic([0.1, 3.0]),
+    "quadratic5": make_quadratic([0.1, 0.5, 1.0, 2.0, 4.0]),
+    "custom3": _soft_well(),
+}
+
+
+class TestCheckAssumptionsMatchesReference:
+    @settings(max_examples=60, database=None, derandomize=True, deadline=None)
+    @given(
+        name=st.sampled_from(sorted(_CHECK_PROBLEMS)),
+        samples=st.integers(min_value=1, max_value=3000),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        per_axis=st.booleans(),
+        data=st.data(),
+    )
+    def test_bitwise_equal(self, name, samples, seed, per_axis, data):
+        problem = _CHECK_PROBLEMS[name]
+        axis = st.tuples(
+            st.floats(min_value=-20.0, max_value=5.0),
+            st.floats(min_value=1e-3, max_value=25.0),
+        ).map(lambda lw: (lw[0], lw[0] + lw[1]))
+        box = (
+            data.draw(st.lists(axis, min_size=problem.dimension,
+                               max_size=problem.dimension))
+            if per_axis else data.draw(axis)
+        )
+        got = check_assumptions(problem, box, samples=samples, seed=seed)
+        ref = _check_assumptions_reference(problem, box, samples, seed)
+        for g, r in zip(got, ref, strict=True):
+            assert (g.assumption, g.samples, g.violations) == (
+                r.assumption, r.samples, r.violations)
+            assert np.float64(g.worst_margin).tobytes() == np.float64(
+                r.worst_margin).tobytes()
 
 
 class TestEnergies:
