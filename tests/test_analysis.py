@@ -217,7 +217,6 @@ class TestCheckAssumptions:
         with pytest.raises(MissingMinimizer):
             check_assumptions(p, (-1.0, 1.0), samples=10, seed=0)
 
-
     def test_nan_slack_is_a_violation(self):
         # f is NaN on x >= 0.5: QuadGrowth, PL and A1 see NaN slacks there
         p = Problem(
