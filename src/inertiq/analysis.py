@@ -18,6 +18,7 @@ T31/T32, open for T41/T42).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -306,13 +307,17 @@ def check_assumptions(
 
     # Row dot products are np.vecdot: it equals a per-point np.dot bit for
     # bit; (a*b).sum(1) and einsum round differently.
+    # An overflowing slack is NaN, already a violation: silence its warnings
+    # here alone, so that func's and grad's own warnings still show.
+    slack_errstate = functools.partial(np.errstate, over="ignore", invalid="ignore")
     x = rng.uniform(box[:, 0], box[:, 1], size=(samples, dim))
     fx = values(x) - fstar
     gx = grads(x)
     diff = x - xstar
-    qg = fx - 0.25 * gamma * np.vecdot(diff, diff)
-    pl = np.vecdot(gx, gx) - gamma**2 / (2.0 * L) * fx
-    a1 = np.vecdot(gx, diff) - kappa * fx
+    with slack_errstate():
+        qg = fx - 0.25 * gamma * np.vecdot(diff, diff)
+        pl = np.vecdot(gx, gx) - gamma**2 / (2.0 * L) * fx
+        a1 = np.vecdot(gx, diff) - kappa * fx
     del x, fx, gx, diff  # peak memory: the pairs reuse this space
 
     pairs = rng.uniform(box[:, 0], box[:, 1], size=(samples, 2, dim))
@@ -321,8 +326,10 @@ def check_assumptions(
     keep = (f_ab[:, 0] <= f_ab[:, 1])[:, None]
     a, b = pairs[:, 0], pairs[:, 1]
     x, y = np.where(keep, a, b), np.where(keep, b, a)
+    gy = grads(y)
     diff = y - x
-    sqc = -0.5 * gamma * np.vecdot(diff, diff) - np.vecdot(grads(y), x - y)
+    with slack_errstate():
+        sqc = -0.5 * gamma * np.vecdot(diff, diff) - np.vecdot(gy, x - y)
 
     def report(tag: str, slacks: np.ndarray) -> AssumptionReport:
         return AssumptionReport(

@@ -43,10 +43,10 @@ def _parse_box(text: str, dim: int):
 
 
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=0, help="global seed")
-    common.add_argument("--out-dir", default=None, help="output directory")
-    common.add_argument("--quiet", action="store_true", help="suppress chatter")
+    seed, out_dir, quiet = (argparse.ArgumentParser(add_help=False) for _ in range(3))
+    seed.add_argument("--seed", type=int, default=0, help="global seed")
+    out_dir.add_argument("--out-dir", default=None, help="output directory")
+    quiet.add_argument("--quiet", action="store_true", help="suppress chatter")
 
     parser = argparse.ArgumentParser(
         prog="inertiq",
@@ -54,7 +54,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("check", parents=[common], help="assumption reports and parameter boxes")
+    p = sub.add_parser("check", parents=[seed, quiet], help="assumption reports and parameter boxes")
     p.add_argument("--problem", default="example51")
     p.add_argument("--box", default=None, help="'lo,hi' or per-axis 'lo,hi;lo,hi'")
     p.add_argument("--samples", type=int, default=10_000)
@@ -64,7 +64,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--step", type=float, default=None, help="IAA step size s")
     p.add_argument("--csv", default=None, help="also write reports as CSV")
 
-    p = sub.add_parser("ode", parents=[common], help="integrate the continuous system")
+    p = sub.add_parser("ode", parents=[seed, quiet], help="integrate the continuous system")
     p.add_argument("--problem", default="example51")
     p.add_argument("--alpha", type=float, required=True)
     p.add_argument("--beta", type=float, default=0.0)
@@ -77,7 +77,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--record-every", type=int, default=1)
     p.add_argument("--out", default=None, help="trajectory CSV path")
 
-    p = sub.add_parser("opt", parents=[common], help="run one algorithm")
+    p = sub.add_parser("opt", parents=[seed, quiet], help="run one algorithm")
     p.add_argument("--problem", default="example51")
     p.add_argument("--algo", choices=list(optimizers.ALGO_NAMES), default="iaa")
     p.add_argument("--alpha", type=float, default=0.3)
@@ -91,13 +91,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-iter", type=int, default=100_000)
     p.add_argument("--out", default=None, help="iterate CSV path")
 
-    p = sub.add_parser("exp", parents=[common], help="run a preset or config file")
+    # No abbreviations: "--seed" would silently abbreviate "--seeds".
+    p = sub.add_parser("exp", parents=[out_dir, quiet], allow_abbrev=False,
+                       help="run a preset or config file")
     p.add_argument(
         "target", help=f"preset name ({'|'.join(experiments.PRESETS)}) or config path"
     )
     p.add_argument("--seeds", default=None, help="comma-separated seed list override")
 
-    p = sub.add_parser("rate", parents=[common], help="fit a decay rate from a run CSV")
+    p = sub.add_parser("rate", help="fit a decay rate from a run CSV")
     p.add_argument("csv", help="CSV produced by opt/ode/exp")
     p.add_argument("--column", default="value_error")
     p.add_argument("--kind", choices=["exponential", "power"], default="exponential")

@@ -26,11 +26,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analysis import continuous_energy
-from .errors import Divergence, EmptyTrajectory, NonFiniteState
+from .errors import BLOWUP_NORM, Divergence, EmptyTrajectory, NonFiniteState
 from .perturbations import PerturbationSpec, sample_continuous
 from .problems import Problem, Vector, as_point
-
-BLOWUP_NORM = 1e12
 
 
 @dataclass(frozen=True)

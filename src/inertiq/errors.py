@@ -51,16 +51,15 @@ class NonFiniteIterate(InertiqError):
         self.last_finite_k = last_finite_k
 
 
+BLOWUP_NORM = 1e12  # max-norm guard of optimizer iterates and ODE states
+
+
 class Divergence(InertiqError):
     """Trajectory or iterate norm exceeded the blow-up guard (1e12)."""
 
     def __init__(self, message: str, when: float | None = None):
         super().__init__(message)
         self.when = when
-
-
-class MissingGradientCache(InertiqError):
-    """Hessian-corrected step needs the previous gradient and none was given."""
 
 
 class NonPositiveTime(InertiqError):

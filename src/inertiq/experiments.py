@@ -90,6 +90,10 @@ class CheckResult:
     passed: bool
     detail: str
 
+    def __str__(self) -> str:
+        """The check's line in checks.txt and in the summary."""
+        return f"{'PASS' if self.passed else 'FAIL'} {self.name} ({self.detail})"
+
 
 @dataclass(frozen=True)
 class ComparisonSummary:
@@ -361,9 +365,7 @@ def execute(
     if out is not None and "summary" in cfg.emit:
         (out / "summary.txt").write_text(render_summary(summary), newline="\n")
     if out is not None and "checks" in cfg.emit:
-        lines = [
-            f"{'PASS' if c.passed else 'FAIL'} {c.name} ({c.detail})" for c in checks
-        ]
+        lines = [str(c) for c in checks]
         (out / "checks.txt").write_text(
             "\n".join(lines) + ("\n" if lines else ""), newline="\n"
         )
@@ -401,8 +403,7 @@ def render_summary(summary: ComparisonSummary) -> str:
     lines.append("ordering (iterations-to-tolerance): " + " < ".join(summary.ordering))
     if summary.checks:
         lines.append("")
-        for c in summary.checks:
-            lines.append(f"{'PASS' if c.passed else 'FAIL'} {c.name} ({c.detail})")
+        lines.extend(map(str, summary.checks))
     if summary.warnings:
         lines.append("")
         lines.extend(f"warning: {w}" for w in summary.warnings)

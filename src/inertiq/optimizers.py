@@ -13,8 +13,9 @@ baselines, so a perturbation enters at each method's own step scale.  IAA
 discretizes the implicit-Hessian-damped flow with step sqrt(s); the
 continuous coefficients map to the discrete ones as
 alpha_disc = 1 - alpha_cont*sqrt(s), beta_disc = beta_cont/sqrt(s).
-Startup convention x_{-1} := x_0, so momentum terms vanish when x_0 = x_1;
-Hessian-corrected variants take g_0 = grad f(x_0).
+Startup convention x_{-1} := x_0, so momentum terms vanish when x_0 = x_1.
+``run`` evaluates g_k once, in iterate k's record, and hands g_k and g_{k-1}
+to the step; g_0 is record 0's gradient.
 """
 
 from __future__ import annotations
@@ -28,8 +29,8 @@ import numpy as np
 
 from . import analysis
 from .errors import (
+    BLOWUP_NORM,
     Divergence,
-    MissingGradientCache,
     NonFiniteIterate,
     OutOfBox,
     InfeasibleAlpha,
@@ -66,7 +67,6 @@ METHODS = {
 VARIANTS = tuple(METHODS)
 # The spelling of each variant in ``inertiq opt --algo`` and config files.
 ALGO_NAMES = {variant.lower().replace("_", "-"): variant for variant in VARIANTS}
-BLOWUP_NORM = 1e12
 
 
 @dataclass(frozen=True)
@@ -171,26 +171,19 @@ def step_baseline(
     cfg: AlgorithmConfig,
     x_k: Vector,
     x_km1: Vector,
-    g_km1: Vector | None = None,
+    g_k: Vector,
+    g_km1: Vector,
     eps_k: Vector | None = None,
-) -> tuple[Vector, Vector | None]:
-    """One baseline update; returns (x_{k+1}, gradient to cache).
+) -> Vector:
+    """One baseline update from x_k, x_{k-1}, g_k and g_{k-1}; returns x_{k+1}.
 
-    The cached gradient is grad f(x_k) for HBM/HBM_H/NAG_H (the Hessian
-    correction of the next step needs it); NAG caches nothing, keeping it
-    at one gradient evaluation per iterate.  x_k and x_km1 must be float
-    arrays, as ``run`` passes them: the update is built in place.
+    g_k = grad f(x_k) is read, never evaluated: the only gradient call is at
+    y_k for NAG/NAG_H.  x_k and x_km1 must be float arrays, as ``run``
+    passes them: the update is built in place.
     """
     method = METHODS[cfg.variant]
     if method.grad_at == "z":
         raise ValueError(f"step_baseline got variant {cfg.variant!r}")
-    if method.hessian_correction and g_km1 is None:
-        raise MissingGradientCache(
-            f"{cfg.variant} needs grad f(x_{{k-1}}); pass g_km1 (g_0 = grad f(x_0))"
-        )
-    g_cache = None
-    if method.grad_at == "x" or method.hessian_correction:
-        g_cache = problem.grad(x_k)
     # In place on one fresh array: fewer 512 KB temporaries at large d
     # (README, "Performance"), and the same IEEE-754 operations as
     # x_k + alpha*d - beta*g, so the same bits.
@@ -198,11 +191,11 @@ def step_baseline(
     y *= cfg.alpha
     y += x_k
     if method.hessian_correction:
-        y -= cfg.theta * (g_cache - g_km1)
-    y -= cfg.beta * (g_cache if method.grad_at == "x" else problem.grad(y))
+        y -= cfg.theta * (g_k - g_km1)
+    y -= cfg.beta * (g_k if method.grad_at == "x" else problem.grad(y))
     if eps_k is not None and np.any(eps_k):
         y += cfg.beta * eps_k
-    return y, g_cache
+    return y
 
 
 def validate_against_box(problem: Problem, cfg: AlgorithmConfig) -> list[str]:
@@ -257,8 +250,10 @@ def run(
         c_energy = cfg.beta / (cfg.alpha * cfg.s)
 
     evals = 0
+    records: list[IterateRecord] = []
 
-    def make_record(k: int, x: Vector, step: float) -> IterateRecord:
+    def make_record(k: int, x: Vector, step: float) -> Vector:
+        """Append iterate k's record; return g_k = grad f(x_k) for the steps."""
         # x is owned by the record: every recorded array is a private copy
         # (x_0, x_1) or a fresh step result, and none is written afterwards.
         fx = float(problem.func(x))
@@ -275,7 +270,7 @@ def run(
             energy = value_error
         else:
             energy = float("nan")
-        return IterateRecord(
+        records.append(IterateRecord(
             k=k,
             x=x,
             value_error=value_error,
@@ -284,7 +279,8 @@ def run(
             step=step,
             energy=energy,
             n_grad_evals=evals,
-        )
+        ))
+        return gx
 
     def hit_tol(rec: IterateRecord) -> bool:
         if stop.tol is None:
@@ -292,20 +288,18 @@ def run(
         metric = rec.value_error if use_value else rec.grad_norm
         return metric <= stop.tol
 
-    records = [make_record(0, x_prev, 0.0)]
+    g_prev = make_record(0, x_prev, 0.0)
     d1 = x_cur - x_prev
     step1 = math.sqrt(d1.dot(d1))
-    records.append(make_record(1, x_cur, step1))
+    g_cur = make_record(1, x_cur, step1)
     if hit_tol(records[-1]):
         return RunResult(records, "tol", evals, tuple(box_warnings))
     if stop.max_iter <= 1:
         return RunResult(records, "max_iter", evals, tuple(box_warnings))
 
     method = METHODS[cfg.variant]
-    g_cache: Vector | None = None
     if method.hessian_correction:
-        g_cache = problem.grad(x_prev)  # g_0 = grad f(x_0)
-        evals += 1
+        evals += 1  # g_0, which record 0 evaluated
 
     sample_noise = not cfg.perturb.is_zero
     per_step = method.grad_evals_per_step
@@ -316,7 +310,7 @@ def run(
         if cfg.variant == "IAA":
             x_next = step_iaa(problem, cfg, x_cur, x_prev, eps)
         else:
-            x_next, g_cache = step_baseline(problem, cfg, x_cur, x_prev, g_cache, eps)
+            x_next = step_baseline(problem, cfg, x_cur, x_prev, g_cur, g_prev, eps)
         evals += per_step
         # One reduction guards both: NaN and inf propagate through max.
         xmax = float(np.abs(x_next).max())
@@ -331,12 +325,12 @@ def run(
             )
         dx = x_next - x_cur
         step = math.sqrt(dx.dot(dx))
-        records.append(make_record(k + 1, x_next, step))
+        g_next = make_record(k + 1, x_next, step)
         if hit_tol(records[-1]):
             trigger = "tol"
             break
         if k + 1 >= stop.max_iter:
             break
-        x_prev, x_cur = x_cur, x_next
+        x_prev, x_cur, g_prev, g_cur = x_cur, x_next, g_cur, g_next
         k += 1
     return RunResult(records, trigger, evals, tuple(box_warnings))

@@ -24,11 +24,9 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
-from numpy.typing import NDArray
 
 from .errors import DimensionMismatch, NonPositiveTime
-
-Vector = NDArray[np.float64]
+from .problems import Vector
 
 MODELS = ("none", "power_decay", "gaussian_decay")
 
@@ -55,7 +53,7 @@ def _key(seed: int, index: int) -> int:
     return _splitmix64_int(_splitmix64_int(s) ^ _splitmix64_int(k))
 
 
-def _uniforms(seed: int, index: int, lanes: tuple[int, ...], n: int) -> NDArray:
+def _uniforms(seed: int, index: int, lanes: tuple[int, ...], n: int) -> np.ndarray:
     """Uniforms in (0, 1] of shape (len(lanes), n).
 
     Entry (i, j) is splitmix64 of the counter key(seed, index) + lanes[i] + j

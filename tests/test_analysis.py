@@ -1,11 +1,16 @@
 """Parameter boxes, certified constants, assumption checks, energies."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import inertiq
 from inertiq import (
     builtin_problem,
     check_assumptions,
@@ -244,6 +249,21 @@ class TestCheckAssumptions:
                 capsys.readouterr().out.splitlines()[1:]}
         for tag in ("QuadGrowth", "PL", "A1"):
             assert rows[tag] == ["100", "100", "nan", "False"]
+
+    def test_cli_overflowing_box_writes_nothing_to_stderr(self):
+        # The same command as above in its own process, warnings shown as
+        # Python shows them by default, and no errstate around it.
+        proc = subprocess.run(
+            [sys.executable, "-W", "default", "-m", "inertiq.cli", "check",
+             "--problem", "example51", "--box=-1e200,1e200", "--samples", "100"],
+            capture_output=True, text=True, timeout=60,
+            env={**os.environ, "PYTHONPATH": str(Path(inertiq.__file__).parents[1])},
+        )
+        assert proc.returncode == 1
+        assert proc.stderr == ""
+        rows = [ln.split() for ln in proc.stdout.splitlines()[1:]]
+        assert rows == [[tag, "100", "100", "nan", "False"]
+                        for tag in ("QuadGrowth", "SQC", "PL", "A1")]
 
     @pytest.mark.parametrize("box", [
         (-1e308, 1e308),

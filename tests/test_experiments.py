@@ -320,6 +320,19 @@ class TestCli:
         assert main(["opt", "--problem", "nosuch", "--x0", "1", "--quiet"]) == 2
         assert main(["nonsense"]) == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["check", "--out-dir", "out"],
+        ["ode", "--alpha", "1", "--x0", "3", "--t-end", "1", "--out-dir", "out"],
+        ["opt", "--x0", "3", "--out-dir", "out"],
+        ["exp", "fig12", "--seed", "3"],
+        ["rate", "run.csv", "--seed", "1"],
+        ["rate", "run.csv", "--out-dir", "out"],
+        ["rate", "run.csv", "--quiet"],
+    ])
+    def test_option_the_subcommand_does_not_read_is_a_usage_error(self, capsys, argv):
+        assert main(argv) == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
     def test_divergence_exit_code(self):
         code = main([
             "opt", "--problem", "quadratic(1,[1])", "--algo", "hbm",

@@ -1,5 +1,6 @@
 """Discrete algorithms: step formulas, runs, reductions, certified bounds."""
 
+import dataclasses
 import importlib.util
 import math
 from pathlib import Path
@@ -20,7 +21,7 @@ from inertiq import (
     step_iaa,
 )
 from inertiq import optimizers
-from inertiq.errors import Divergence, MissingGradientCache, NonFiniteIterate
+from inertiq.errors import Divergence, NonFiniteIterate
 from inertiq.problems import Problem
 
 
@@ -63,14 +64,15 @@ class TestStepBaseline:
     def test_hbm_fixed_point(self, sine_well):
         cfg = AlgorithmConfig(variant="HBM", alpha=0.7, beta=1.0 / 24.0)
         xstar = np.array([0.0])
-        x2, g = step_baseline(sine_well, cfg, xstar, xstar)
+        g = sine_well.grad(xstar)
+        x2 = step_baseline(sine_well, cfg, xstar, xstar, g, g)
         np.testing.assert_array_equal(x2, xstar)
-        np.testing.assert_array_equal(g, [0.0])
 
     def test_hbm_equal_iterates(self, sine_well):
         cfg = AlgorithmConfig(variant="HBM", alpha=0.7, beta=1.0 / 24.0)
         x = np.array([3.0])
-        x2, _ = step_baseline(sine_well, cfg, x, x)
+        g = sine_well.grad(x)
+        x2 = step_baseline(sine_well, cfg, x, x, g, g)
         expected = 3.0 - (6.0 + 2.0 * math.sin(6.0)) / 24.0
         assert x2[0] == pytest.approx(expected, rel=1e-15)
         assert x2[0] == pytest.approx(2.773285, abs=1e-6)
@@ -79,24 +81,17 @@ class TestStepBaseline:
         plain = AlgorithmConfig(variant="HBM", alpha=0.7, beta=1.0 / 24.0)
         hess = AlgorithmConfig(variant="HBM_H", alpha=0.7, beta=1.0 / 24.0, theta=0.0)
         xk, xk1 = np.array([2.0]), np.array([2.5])
-        g0 = sine_well.grad(xk1)
-        a, _ = step_baseline(sine_well, plain, xk, xk1)
-        b, _ = step_baseline(sine_well, hess, xk, xk1, g_km1=g0)
+        gk, gk1 = sine_well.grad(xk), sine_well.grad(xk1)
+        a = step_baseline(sine_well, plain, xk, xk1, gk, gk1)
+        b = step_baseline(sine_well, hess, xk, xk1, gk, gk1)
         np.testing.assert_array_equal(a, b)
 
     def test_nag_uses_extrapolated_gradient(self, sine_well):
         cfg = AlgorithmConfig(variant="NAG", alpha=0.7, beta=1.0 / 24.0)
         xk, xk1 = np.array([2.0]), np.array([2.5])
-        x2, cache = step_baseline(sine_well, cfg, xk, xk1)
+        x2 = step_baseline(sine_well, cfg, xk, xk1, sine_well.grad(xk), sine_well.grad(xk1))
         y = xk + 0.7 * (xk - xk1)
         np.testing.assert_allclose(x2, y - cfg.beta * sine_well.grad(y), rtol=1e-15)
-        assert cache is None  # NAG needs no gradient cache
-
-    def test_missing_cache_raises(self, sine_well):
-        for variant in ("HBM_H", "NAG_H"):
-            cfg = AlgorithmConfig(variant=variant, alpha=0.7, beta=0.05, theta=0.05)
-            with pytest.raises(MissingGradientCache):
-                step_baseline(sine_well, cfg, np.array([1.0]), np.array([2.0]))
 
 
 def _step_baseline_reference(problem, cfg, x_k, x_km1, g_km1=None, eps_k=None):
@@ -147,13 +142,35 @@ class TestStepBaselineMatchesReference:
         eps = data.draw(st.none() | st.just(np.zeros(dim)) | vec)
         problem = _PROBLEM_BY_DIM[dim]
         cfg = AlgorithmConfig(variant=variant, alpha=alpha, beta=beta, theta=theta)
-        x_next, cache = step_baseline(problem, cfg, x_k, x_km1, g_km1, eps)
-        ref_next, ref_cache = _step_baseline_reference(problem, cfg, x_k, x_km1, g_km1, eps)
+        x_next = step_baseline(problem, cfg, x_k, x_km1, problem.grad(x_k), g_km1, eps)
+        ref_next, _ = _step_baseline_reference(problem, cfg, x_k, x_km1, g_km1, eps)
         assert x_next.tobytes() == ref_next.tobytes()
-        if ref_cache is None:
-            assert cache is None
-        else:
-            assert cache.tobytes() == ref_cache.tobytes()
+
+
+class TestGradientCalls:
+    """run() evaluates grad f(x_k) once, in iterate k's record, and the step
+    reads it from there; a step calls grad only at its own point y_k or z_k.
+    n_grad_evals counts the algorithm's evaluations, g_0 included."""
+
+    @pytest.mark.parametrize("variant, calls, evals", [
+        ("IAA", 22, 10), ("HBM", 12, 10), ("NAG", 22, 10), ("HBM_H", 12, 11),
+        ("NAG_H", 22, 21),
+    ])
+    def test_grad_calls_per_variant(self, sine_well, variant, calls, evals):
+        count = 0
+
+        def counting_grad(x):
+            nonlocal count
+            count += 1
+            return sine_well.grad(x)
+
+        problem = dataclasses.replace(sine_well, grad=counting_grad)
+        count = 0  # drop the stationarity check's call
+        cfg = (AlgorithmConfig(**IAA_BENCH) if variant == "IAA" else
+               AlgorithmConfig(variant=variant, alpha=0.7, beta=1.0 / 24.0, theta=0.05))
+        res = run(problem, cfg, [3.0], stop=StoppingRule(tol=None, max_iter=11))
+        assert res.final.k == 11  # 12 records, 10 steps
+        assert (count, res.n_grad_evals) == (calls, evals)
 
 
 class TestRun:
