@@ -245,6 +245,8 @@ def _load_series(path: str, column: str) -> list[tuple[float, float]]:
     lines = [
         ln for ln in Path(path).read_text().splitlines() if ln and not ln.startswith("#")
     ]
+    if not lines:
+        raise ValueError(f"{path} has no header row")
     header = lines[0].split(",")
     if column not in header:
         raise ValueError(f"column {column!r} not in {header}")
@@ -292,7 +294,7 @@ def main(argv: list[str] | None = None) -> int:
     except Divergence as exc:
         print(f"divergence: {exc}", file=sys.stderr)
         return EXIT_DIVERGENCE
-    except (UnknownProblem, UnknownPreset, ValueError) as exc:
+    except (UnknownProblem, UnknownPreset, ValueError, OSError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except InertiqError as exc:

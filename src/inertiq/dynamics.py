@@ -87,7 +87,8 @@ def _make_record(
     lookahead = float(problem.func(x + beta * v))
     if problem.minimizer is not None and problem.min_value is not None:
         value_error = lookahead - problem.min_value
-        traj_error = float(np.linalg.norm(x - problem.minimizer))
+        w = x - problem.minimizer
+        traj_error = math.sqrt(w.dot(w))
         energy = continuous_energy(problem, alpha, beta, x, v)
     else:
         value_error = lookahead
@@ -95,11 +96,11 @@ def _make_record(
         energy = float("nan")
     return TrajectoryRecord(
         t=t,
-        x=x.copy(),
-        v=v.copy(),
+        x=x,
+        v=v,
         value_error=value_error,
         traj_error=traj_error,
-        speed=float(np.linalg.norm(v)),
+        speed=math.sqrt(v.dot(v)),
         energy=energy,
     )
 
@@ -132,6 +133,7 @@ def integrate(
     if not (alpha > 0) or beta < 0:
         raise ValueError("integrate needs alpha > 0 and beta >= 0")
 
+    # Private copies, rebound to fresh arrays each step: records own theirs.
     x = as_point(x0, problem.dimension).copy()
     v = as_point(v0, problem.dimension).copy()
     grad = problem.grad

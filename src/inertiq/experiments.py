@@ -68,6 +68,8 @@ class ExperimentConfig:
             raise ValueError(f"run labels must be unique, got {labels}")
         if not set(self.emit) <= EMIT_KINDS:
             raise ValueError(f"emit must be a subset of {sorted(EMIT_KINDS)}")
+        if not self.seeds:
+            raise ValueError("seeds must not be empty")
 
 
 @dataclass(frozen=True)
@@ -443,6 +445,8 @@ def read_config(path: str | Path) -> ExperimentConfig:
     exp = parser["experiment"]
     problem = exp.get("problem", "example51")
     seeds = tuple(int(tok) for tok in exp.get("seeds", "0").split())
+    if not seeds:
+        raise ValueError(f"{path}: seeds must not be empty")
     emit = frozenset(exp.get("emit", "csv summary checks").split())
     outputs = exp.get("outputs", None)
 

@@ -14,8 +14,9 @@ discretizes the implicit-Hessian-damped flow with step sqrt(s); the
 continuous coefficients map to the discrete ones as
 alpha_disc = 1 - alpha_cont*sqrt(s), beta_disc = beta_cont/sqrt(s).
 Startup convention x_{-1} := x_0, so momentum terms vanish when x_0 = x_1.
-``run`` evaluates g_k once, in iterate k's record, and hands g_k and g_{k-1}
-to the step; g_0 is record 0's gradient.
+``run`` records, counts and stops every iterate, x_0 and x_1 included, in
+one loop.  Each record evaluates g_k once and keeps it only for the steps
+that read it (HBM, HBM_H, NAG_H); g_0 is record 0's gradient.
 """
 
 from __future__ import annotations
@@ -51,10 +52,14 @@ class Method(NamedTuple):
         """Name of the coefficient h that scales the gradient and eps_k."""
         return "s" if self.grad_at == "z" else "beta"
 
-    @property
-    def grad_evals_per_step(self) -> int:
-        """grad f(p_k), plus g_k when the correction needs it at another point."""
-        return 2 if self.hessian_correction and self.grad_at != "x" else 1
+    def grad_evals(self, k: int) -> int:
+        """Algorithmic gradient evaluations through iterate k: none for x_0 and
+        x_1, then g_0 if the correction reads it, and per step grad f(p_k) plus
+        g_k when the correction needs it at another point."""
+        if k < 2:
+            return 0
+        per_step = 2 if self.hessian_correction and self.grad_at != "x" else 1
+        return int(self.hessian_correction) + per_step * (k - 1)
 
 
 METHODS = {
@@ -119,7 +124,7 @@ class IterateRecord:
     value_error is f(x_k) - f* when f* is known, else the raw value; dist
     is |x_k - x*| (nan if unknown); energy is the discrete Lyapunov energy
     with c = beta/(alpha*s) for IAA and nan otherwise; n_grad_evals counts
-    cumulative algorithmic gradient evaluations (instrumentation excluded).
+    cumulative algorithmic gradient evaluations (``Method.grad_evals``).
     """
 
     k: int
@@ -248,17 +253,20 @@ def run(
     c_energy = None
     if cfg.variant == "IAA" and use_value and cfg.alpha > 0 and cfg.s:
         c_energy = cfg.beta / (cfg.alpha * cfg.s)
-
-    evals = 0
+    method = METHODS[cfg.variant]
+    # HBM reads g_k, the corrected variants g_k and g_{k-1}; IAA and NAG neither.
+    reads_grad = method.grad_at == "x" or method.hessian_correction
     records: list[IterateRecord] = []
 
-    def make_record(k: int, x: Vector, step: float) -> Vector:
-        """Append iterate k's record; return g_k = grad f(x_k) for the steps."""
+    def make_record(k: int, x: Vector, x_before: Vector) -> Vector | None:
+        """Append iterate k's record; return g_k = grad f(x_k) if the step reads it."""
         # x is owned by the record: every recorded array is a private copy
         # (x_0, x_1) or a fresh step result, and none is written afterwards.
         fx = float(problem.func(x))
         gx = problem.grad(x)
         value_error = fx - fstar if use_value else fx
+        dx = x - x_before
+        step = math.sqrt(dx.dot(dx))
         if xstar is not None:
             diff = x - xstar
             dist = math.sqrt(diff.dot(diff))
@@ -278,9 +286,9 @@ def run(
             dist=dist,
             step=step,
             energy=energy,
-            n_grad_evals=evals,
+            n_grad_evals=method.grad_evals(k),
         ))
-        return gx
+        return gx if reads_grad else None
 
     def hit_tol(rec: IterateRecord) -> bool:
         if stop.tol is None:
@@ -288,30 +296,16 @@ def run(
         metric = rec.value_error if use_value else rec.grad_norm
         return metric <= stop.tol
 
-    g_prev = make_record(0, x_prev, 0.0)
-    d1 = x_cur - x_prev
-    step1 = math.sqrt(d1.dot(d1))
-    g_cur = make_record(1, x_cur, step1)
-    if hit_tol(records[-1]):
-        return RunResult(records, "tol", evals, tuple(box_warnings))
-    if stop.max_iter <= 1:
-        return RunResult(records, "max_iter", evals, tuple(box_warnings))
-
-    method = METHODS[cfg.variant]
-    if method.hessian_correction:
-        evals += 1  # g_0, which record 0 evaluated
-
+    g_prev = make_record(0, x_prev, x_prev)
+    g_cur = make_record(1, x_cur, x_prev)
     sample_noise = not cfg.perturb.is_zero
-    per_step = method.grad_evals_per_step
-    trigger = "max_iter"
     k = 1
-    while True:
+    while k < stop.max_iter and not hit_tol(records[-1]):
         eps = sample_discrete(cfg.perturb, k, problem.dimension) if sample_noise else None
         if cfg.variant == "IAA":
             x_next = step_iaa(problem, cfg, x_cur, x_prev, eps)
         else:
             x_next = step_baseline(problem, cfg, x_cur, x_prev, g_cur, g_prev, eps)
-        evals += per_step
         # One reduction guards both: NaN and inf propagate through max.
         xmax = float(np.abs(x_next).max())
         if not math.isfinite(xmax):
@@ -323,14 +317,9 @@ def run(
             raise Divergence(
                 f"iterates blew up at k = {k + 1} (|x| = {xmax:.3g})", when=k + 1
             )
-        dx = x_next - x_cur
-        step = math.sqrt(dx.dot(dx))
-        g_next = make_record(k + 1, x_next, step)
-        if hit_tol(records[-1]):
-            trigger = "tol"
-            break
-        if k + 1 >= stop.max_iter:
-            break
-        x_prev, x_cur, g_prev, g_cur = x_cur, x_next, g_cur, g_next
         k += 1
-    return RunResult(records, trigger, evals, tuple(box_warnings))
+        x_prev, x_cur = x_cur, x_next
+        g_prev, g_cur = g_cur, make_record(k, x_cur, x_prev)
+    # tol wins over max_iter when the last record meets both.
+    trigger = "tol" if hit_tol(records[-1]) else "max_iter"
+    return RunResult(records, trigger, records[-1].n_grad_evals, tuple(box_warnings))

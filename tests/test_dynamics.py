@@ -103,6 +103,19 @@ class TestIntegrate:
         assert ts[-1] == pytest.approx(1.0, abs=1e-12)
         assert ts[1] == pytest.approx(0.25, abs=1e-12)
 
+    @pytest.mark.parametrize("spec", [
+        PerturbationSpec.none(), PerturbationSpec.gaussian(0.01, 0.01, seed=3),
+    ])
+    def test_records_own_their_arrays(self, spec):
+        basin = builtin_problem("example52")
+        x0, v0 = np.array([3.0, 3.0]), np.array([0.5, 0.0])
+        recs = integrate(basin, 1.0, 0.1, spec, x0, v0, t_end=0.1, dt=1e-2)
+        assert len(recs) == 11
+        arrays = [a for rec in recs for a in (rec.x, rec.v)] + [x0, v0]
+        for i, a in enumerate(arrays):
+            for b in arrays[i + 1:]:
+                assert not np.shares_memory(a, b)
+
     def test_energy_nonincreasing_in_t31_box(self, sine_well):
         recs = integrate(sine_well, 1.0, 0.1, PerturbationSpec.none(),
                          [3.0], [0.0], t_end=10.0, dt=1e-3)

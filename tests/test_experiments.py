@@ -97,6 +97,14 @@ class TestExecute:
         with pytest.raises(ValueError):
             ExperimentConfig(problem="example51", runs=(runs[0], runs[0]))
 
+    def test_empty_seed_list_rejected(self, tmp_path):
+        with pytest.raises(ValueError, match="seeds must not be empty"):
+            ExperimentConfig(problem="example51", runs=(), seeds=())
+        path = tmp_path / "exp.ini"
+        path.write_text("[experiment]\nseeds =\n[run r]\nalgo = hbm\nbeta = 0.04\n")
+        with pytest.raises(ValueError, match="seeds must not be empty"):
+            read_config(path)
+
     def test_csv_columns(self, tmp_path):
         execute(preset("fig12"), out_dir=tmp_path)
         lines = (tmp_path / "IAA.csv").read_text().splitlines()
@@ -315,10 +323,32 @@ class TestCli:
                         "step = 0.16666666666666666\n")
         assert read_config(path).runs[0].config.variant == variant
 
-    def test_usage_errors(self):
+    def test_usage_errors(self, tmp_path, capsys):
         assert main(["exp", "fig99", "--quiet"]) == 2
         assert main(["opt", "--problem", "nosuch", "--x0", "1", "--quiet"]) == 2
         assert main(["nonsense"]) == 2
+        empty = tmp_path / "empty.ini"
+        empty.write_text("[experiment]\nseeds =\n[run r]\nalgo = hbm\nbeta = 0.04\n")
+        comments = tmp_path / "comments.csv"
+        comments.write_text("# no header\n# nor rows\n")
+        nodir = tmp_path / "nodir"
+        capsys.readouterr()
+        for argv in (
+            # empty seed lists, from the command line and from a config file
+            ["exp", "fig45", "--seeds", ",", "--quiet"],
+            ["exp", str(empty), "--quiet"],
+            # files that cannot be read or written
+            ["rate", str(tmp_path / "missing.csv")],
+            ["rate", str(comments)],
+            ["opt", "--algo", "hbm", "--beta", "0.04", "--x0", "3", "--max-iter", "3",
+             "--out", str(nodir / "run.csv"), "--quiet"],
+            ["ode", "--alpha", "1", "--x0", "3", "--t-end", "0.01",
+             "--out", str(nodir / "ode.csv"), "--quiet"],
+            ["check", "--samples", "10", "--csv", str(nodir / "c.csv"), "--quiet"],
+        ):
+            assert main(argv) == 2, argv
+            assert capsys.readouterr().err.startswith("usage error: "), argv
+        assert not nodir.exists()
 
     @pytest.mark.parametrize("argv", [
         ["check", "--out-dir", "out"],

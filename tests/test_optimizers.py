@@ -3,6 +3,7 @@
 import dataclasses
 import importlib.util
 import math
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -31,6 +32,14 @@ def sine_well():
 
 
 IAA_BENCH = dict(variant="IAA", alpha=0.3, beta=0.2, s=1.0 / 6.0)
+VARIANTS = ("IAA", "HBM", "NAG", "HBM_H", "NAG_H")
+
+
+def _bench_config(variant):
+    """The fig12 coefficients of each variant."""
+    if variant == "IAA":
+        return AlgorithmConfig(**IAA_BENCH)
+    return AlgorithmConfig(variant=variant, alpha=0.7, beta=1.0 / 24.0, theta=0.05)
 
 
 class TestStepIaa:
@@ -171,6 +180,69 @@ class TestGradientCalls:
         res = run(problem, cfg, [3.0], stop=StoppingRule(tol=None, max_iter=11))
         assert res.final.k == 11  # 12 records, 10 steps
         assert (count, res.n_grad_evals) == (calls, evals)
+
+
+class TestGradientCounts:
+    """n_grad_evals per record, against the rule perfbench/workloads.py's
+    _run_invariants checks on finished runs: NAG_H pays 2 per step, the
+    others 1, and the corrected variants also g_0.  x_0 and x_1 cost none."""
+
+    @staticmethod
+    def expected(variant, k):
+        if k < 2:
+            return 0
+        per_step = 2 if variant == "NAG_H" else 1
+        g0 = 1 if variant in ("HBM_H", "NAG_H") else 0
+        return per_step * (k - 1) + g0
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    @pytest.mark.parametrize("max_iter", [1, 2, 3, 11])
+    def test_per_record(self, sine_well, variant, max_iter):
+        res = run(sine_well, _bench_config(variant), [3.0],
+                  stop=StoppingRule(tol=None, max_iter=max_iter))
+        assert res.trigger == "max_iter"
+        assert [r.k for r in res.records] == list(range(max_iter + 1))
+        assert [r.n_grad_evals for r in res.records] == [
+            self.expected(variant, k) for k in range(max_iter + 1)
+        ]
+        assert res.n_grad_evals == res.final.n_grad_evals
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_tol_at_record_one_wins_over_max_iter(self, sine_well, variant):
+        res = run(sine_well, _bench_config(variant), [0.0],
+                  stop=StoppingRule(tol=1e-10, max_iter=1))
+        assert (len(res.records), res.trigger, res.n_grad_evals) == (2, "tol", 0)
+
+
+class TestLiveGradients:
+    """A record's gradient stays alive only for the steps that read it: HBM
+    (g_k, kept with g_{k-1} by the rotation) and the corrected variants (g_k
+    and g_{k-1}).  IAA and NAG read none, so none is kept; at d = 2^16 each
+    is 512 KB."""
+
+    @pytest.mark.parametrize("variant, peak", [
+        ("IAA", 0), ("HBM", 2), ("NAG", 0), ("HBM_H", 2), ("NAG_H", 2),
+    ])
+    def test_peak_live_gradients(self, variant, peak):
+        basin = builtin_problem("example52")
+        outputs = []
+        most = 0
+
+        def tracking_grad(x):
+            nonlocal most
+            most = max(most, sum(ref() is not None for ref in outputs))
+            g = basin.grad(x)
+            outputs.append(weakref.ref(g))
+            return g
+
+        problem = dataclasses.replace(basin, grad=tracking_grad)
+        if variant == "IAA":
+            cfg = AlgorithmConfig(variant="IAA", alpha=0.4, beta=0.15, s=0.125)
+        else:
+            cfg = AlgorithmConfig(variant=variant, alpha=0.7, beta=0.04, theta=0.05)
+        res = run(problem, cfg, [3.0, 3.0], stop=StoppingRule(tol=None, max_iter=20))
+        assert res.final.k == 20
+        assert most == peak
 
 
 class TestRun:
