@@ -2,6 +2,7 @@
 
 import dataclasses
 import importlib.util
+import itertools
 import math
 import weakref
 from pathlib import Path
@@ -175,9 +176,8 @@ class TestGradientCalls:
 
         problem = dataclasses.replace(sine_well, grad=counting_grad)
         count = 0  # drop the stationarity check's call
-        cfg = (AlgorithmConfig(**IAA_BENCH) if variant == "IAA" else
-               AlgorithmConfig(variant=variant, alpha=0.7, beta=1.0 / 24.0, theta=0.05))
-        res = run(problem, cfg, [3.0], stop=StoppingRule(tol=None, max_iter=11))
+        res = run(problem, _bench_config(variant), [3.0],
+                  stop=StoppingRule(tol=None, max_iter=11))
         assert res.final.k == 11  # 12 records, 10 steps
         assert (count, res.n_grad_evals) == (calls, evals)
 
@@ -206,12 +206,6 @@ class TestGradientCounts:
             self.expected(variant, k) for k in range(max_iter + 1)
         ]
         assert res.n_grad_evals == res.final.n_grad_evals
-
-    @pytest.mark.parametrize("variant", VARIANTS)
-    def test_tol_at_record_one_wins_over_max_iter(self, sine_well, variant):
-        res = run(sine_well, _bench_config(variant), [0.0],
-                  stop=StoppingRule(tol=1e-10, max_iter=1))
-        assert (len(res.records), res.trigger, res.n_grad_evals) == (2, "tol", 0)
 
 
 class TestLiveGradients:
@@ -257,16 +251,14 @@ class TestRun:
         assert res.records[0].step == 0.0
 
     def test_start_at_minimizer_stops_at_one(self, sine_well):
-        for variant in ("IAA", "HBM", "NAG", "HBM_H", "NAG_H"):
-            cfg = (
-                AlgorithmConfig(**IAA_BENCH)
-                if variant == "IAA"
-                else AlgorithmConfig(variant=variant, alpha=0.7, beta=1.0 / 24.0, theta=0.05)
-            )
-            res = run(sine_well, cfg, [0.0], stop=StoppingRule(tol=1e-10))
+        for variant, max_iter in itertools.product(VARIANTS, (1, 100_000)):
+            # At max_iter = 1 both triggers hold, and tol wins.
+            res = run(sine_well, _bench_config(variant), [0.0],
+                      stop=StoppingRule(tol=1e-10, max_iter=max_iter))
             assert res.trigger == "tol"
             assert res.final.k == 1
             assert res.final.value_error == 0.0
+            assert (len(res.records), res.n_grad_evals) == (2, 0)
 
     def test_fixed_horizon_runs_exact_count(self):
         basin = builtin_problem("example52")
@@ -282,12 +274,7 @@ class TestRun:
         stop = StoppingRule(tol=None, max_iter=11)  # 10 update steps
         for variant, expected in (("IAA", 10), ("HBM", 10), ("NAG", 10),
                                   ("HBM_H", 11), ("NAG_H", 21)):
-            cfg = (
-                AlgorithmConfig(**IAA_BENCH)
-                if variant == "IAA"
-                else AlgorithmConfig(variant=variant, alpha=0.7, beta=1.0 / 24.0, theta=0.05)
-            )
-            res = run(sine_well, cfg, [3.0], stop=stop)
+            res = run(sine_well, _bench_config(variant), [3.0], stop=stop)
             # _H variants pay one extra evaluation for g_0 = grad f(x_0)
             assert res.n_grad_evals == expected, variant
 
