@@ -359,15 +359,16 @@ def continuous_energy(
         raise MissingMinimizer("continuous_energy needs minimizer and min_value")
     xv = as_point(x, problem.dimension)
     vv = as_point(v, problem.dimension)
+    value_error = float(problem.func(xv + beta * vv)) - problem.min_value
+    return _continuous_energy(problem, alpha, value_error, xv - problem.minimizer, vv)
+
+
+def _continuous_energy(problem: Problem, alpha: float, value_error: float, diff, v) -> float:
+    """:func:`continuous_energy` from value_error = f(x + beta*v) - f* and
+    diff = x - x*, for callers that already evaluated f at the look-ahead."""
     lam = 2.0 * alpha / (problem.kappa + 4.0)
-    diff = xv - problem.minimizer
-    w = lam * diff + vv
-    return (
-        float(problem.func(xv + beta * vv))
-        - problem.min_value
-        + 0.5 * float(np.dot(w, w))
-        + 0.5 * lam**2 * float(np.dot(diff, diff))
-    )
+    w = lam * diff + v
+    return value_error + 0.5 * float(np.dot(w, w)) + 0.5 * lam**2 * float(np.dot(diff, diff))
 
 
 def discrete_energy(problem: Problem, c: float, x_k, x_km1) -> float:

@@ -7,7 +7,10 @@ Simulates the second-order system
 as a first-order system in (x, v) with a fixed-step classical 4th-order
 Runge-Kutta scheme.  Fixed stepping (no adaptivity) keeps runs bitwise
 deterministic, which the golden-CSV and perturbation-reproducibility
-contracts rely on.  The perturbation is one additive term of the
+contracts rely on.  One vector field and one stage combination serve every
+dimension; at d = 1 the state is two Python floats, the IEEE-754 operations
+of 1-element arrays without numpy's per-call dispatch, and records still
+hold 1-element arrays.  The perturbation is one additive term of the
 acceleration.  Power-law magnitudes are evaluated at every stage time (a
 random direction is drawn once per step); Gaussian draws are frozen once
 per step so stage-inconsistent noise cannot destroy the integrator's order.
@@ -25,8 +28,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analysis import continuous_energy
-from .errors import BLOWUP_NORM, Divergence, EmptyTrajectory, NonFiniteState
+from .analysis import _continuous_energy, continuous_energy  # noqa: F401 (perfbench wraps it)
+from .errors import BLOWUP_NORM, DimensionMismatch, Divergence, EmptyTrajectory, NonFiniteState
 from .perturbations import PerturbationSpec, sample_continuous
 from .problems import Problem, Vector, as_point
 
@@ -75,10 +78,15 @@ def rhs(
     x, v = np.asarray(state.x, dtype=float), np.asarray(state.v, dtype=float)
     if not (np.all(np.isfinite(x)) and np.all(np.isfinite(v))):
         raise NonFiniteState(f"state at t = {state.t} contains NaN/Inf")
-    dv = -alpha * v - problem.grad(x + beta * v)
-    if not pert.is_zero:
-        dv = dv + sample_continuous(pert, state.t, problem.dimension, step=step)
-    return v, dv
+    eps = None if pert.is_zero else sample_continuous(pert, state.t, problem.dimension, step=step)
+    return v, _accel(problem.grad, alpha, beta, x, v, eps)
+
+
+def _accel(grad, alpha: float, beta: float, x, v, eps=None):
+    """dv = -alpha v - grad(x + beta v) [+ eps], on Python floats in a
+    one-dimensional :func:`integrate` and on arrays otherwise."""
+    a = -alpha * v - grad(x + beta * v)
+    return a if eps is None else a + eps
 
 
 def _make_record(
@@ -87,22 +95,12 @@ def _make_record(
     lookahead = float(problem.func(x + beta * v))
     if problem.minimizer is not None and problem.min_value is not None:
         value_error = lookahead - problem.min_value
-        w = x - problem.minimizer
-        traj_error = math.sqrt(w.dot(w))
-        energy = continuous_energy(problem, alpha, beta, x, v)
+        diff = x - problem.minimizer
+        traj_error = math.sqrt(diff.dot(diff))
+        energy = _continuous_energy(problem, alpha, value_error, diff, v)
     else:
-        value_error = lookahead
-        traj_error = float("nan")
-        energy = float("nan")
-    return TrajectoryRecord(
-        t=t,
-        x=x,
-        v=v,
-        value_error=value_error,
-        traj_error=traj_error,
-        speed=math.sqrt(v.dot(v)),
-        energy=energy,
-    )
+        value_error, traj_error, energy = lookahead, float("nan"), float("nan")
+    return TrajectoryRecord(t, x, v, value_error, traj_error, math.sqrt(v.dot(v)), energy)
 
 
 def integrate(
@@ -133,30 +131,39 @@ def integrate(
     if not (alpha > 0) or beta < 0:
         raise ValueError("integrate needs alpha > 0 and beta >= 0")
 
-    # Private copies, rebound to fresh arrays each step: records own theirs.
-    x = as_point(x0, problem.dimension).copy()
-    v = as_point(v0, problem.dimension).copy()
-    grad = problem.grad
     dim = problem.dimension
+    # Private copies, rebound to fresh arrays each step: records own theirs.
+    x, v = as_point(x0, dim).copy(), as_point(v0, dim).copy()
+    if dim == 1:
+        x, v, point, peak = x.item(), v.item(), (lambda s: np.array([s])), abs
+
+        def grad(s):
+            g = problem.grad(np.array([s]))
+            if g.size != 1:
+                raise DimensionMismatch(f"gradient of a 1-D problem has {g.size} elements")
+            return g.item()
+    else:
+        grad, point, peak = problem.grad, (lambda a: a), (lambda a: float(np.max(np.abs(a))))
     n_steps = max(1, int(round((t_end - t0) / dt)))
     half = 0.5 * dt
     sixth = dt / 6.0
 
-    perturbed = not pert.is_zero
-    gaussian = perturbed and pert.model == "gaussian_decay"
-    frozen = None  # this step's Gaussian draw
+    per_stage = not pert.is_zero and pert.model == "power_decay"  # eps(t) at each stage
+    per_step = not pert.is_zero and pert.model == "gaussian_decay"  # frozen per step
+    frozen = None
+
+    def eps_at(t, j):
+        eps = sample_continuous(pert, t, dim, step=j)
+        return eps.item() if dim == 1 else eps
 
     def accel(j, tt, xx, vv):
-        a = -alpha * vv - grad(xx + beta * vv)
-        if perturbed:
-            a = a + (frozen if gaussian else sample_continuous(pert, tt, dim, step=j))
-        return a
+        return _accel(grad, alpha, beta, xx, vv, eps_at(tt, j) if per_stage else frozen)
 
-    records = [_make_record(problem, alpha, beta, t0, x, v)]
+    records = [_make_record(problem, alpha, beta, t0, point(x), point(v))]
     for j in range(n_steps):
         t = t0 + j * dt
-        if gaussian:
-            frozen = sample_continuous(pert, t, dim, step=j)
+        if per_step:
+            frozen = eps_at(t, j)
         k1v = accel(j, t, x, v)
         x2 = x + half * v
         v2 = v + half * k1v
@@ -170,15 +177,14 @@ def integrate(
         x = x + sixth * (v + 2.0 * v2 + 2.0 * v3 + v4)
         v = v + sixth * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
         t_next = t0 + (j + 1) * dt
-        xmax = float(np.max(np.abs(x)))
-        vmax = float(np.max(np.abs(v)))
+        xmax, vmax = peak(x), peak(v)
         if not (xmax <= BLOWUP_NORM and vmax <= BLOWUP_NORM):
             raise Divergence(
                 f"trajectory blew up at t = {t_next:.6g} (|x|={xmax:.3g}, |v|={vmax:.3g})",
                 when=t_next,
             )
         if (j + 1) % record_every == 0 or j + 1 == n_steps:
-            records.append(_make_record(problem, alpha, beta, t_next, x, v))
+            records.append(_make_record(problem, alpha, beta, t_next, point(x), point(v)))
     return records
 
 

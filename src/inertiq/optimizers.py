@@ -16,7 +16,8 @@ alpha_disc = 1 - alpha_cont*sqrt(s), beta_disc = beta_cont/sqrt(s).
 Startup convention x_{-1} := x_0, so momentum terms vanish when x_0 = x_1.
 ``run`` records, counts and stops every iterate, x_0 and x_1 included, in
 one loop.  Each record evaluates g_k once and keeps it only for the steps
-that read it (HBM, HBM_H, NAG_H); g_0 is record 0's gradient.
+that read it (HBM, HBM_H, NAG_H), and g_{k-1} only for HBM_H and NAG_H;
+g_0 is record 0's gradient.
 """
 
 from __future__ import annotations
@@ -256,6 +257,7 @@ def run(
     method = METHODS[cfg.variant]
     # HBM reads g_k, the corrected variants g_k and g_{k-1}; IAA and NAG neither.
     reads_grad = method.grad_at == "x" or method.hessian_correction
+    keeps_prev = method.hessian_correction
     records: list[IterateRecord] = []
 
     def make_record(k: int, x: Vector, x_before: Vector) -> Vector | None:
@@ -296,8 +298,8 @@ def run(
         metric = rec.value_error if use_value else rec.grad_norm
         return metric <= stop.tol
 
-    g_prev = make_record(0, x_prev, x_prev)
-    g_cur = make_record(1, x_cur, x_prev)
+    g_cur = make_record(0, x_prev, x_prev)
+    g_prev, g_cur = (g_cur if keeps_prev else None), make_record(1, x_cur, x_prev)
     sample_noise = not cfg.perturb.is_zero
     k = 1
     while k < stop.max_iter and not hit_tol(records[-1]):
@@ -319,7 +321,7 @@ def run(
             )
         k += 1
         x_prev, x_cur = x_cur, x_next
-        g_prev, g_cur = g_cur, make_record(k, x_cur, x_prev)
+        g_prev, g_cur = (g_cur if keeps_prev else None), make_record(k, x_cur, x_prev)
     # tol wins over max_iter when the last record meets both.
     trigger = "tol" if hit_tol(records[-1]) else "max_iter"
     return RunResult(records, trigger, records[-1].n_grad_evals, tuple(box_warnings))

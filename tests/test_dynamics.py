@@ -1,11 +1,13 @@
 """Continuous-time integration: RHS, accuracy, energy decay, certificates."""
 
+import dataclasses
 import hashlib
 import math
 import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from inertiq import (
     OdeState,
@@ -17,10 +19,17 @@ from inertiq import (
     rhs,
 )
 from inertiq import dynamics
+from inertiq.analysis import continuous_energy
 from inertiq.cli import main
 from inertiq.dynamics import TrajectoryRecord
-from inertiq.errors import Divergence, EmptyTrajectory, NonFiniteState
-from inertiq.problems import Problem
+from inertiq.errors import (
+    BLOWUP_NORM,
+    DimensionMismatch,
+    Divergence,
+    EmptyTrajectory,
+    NonFiniteState,
+)
+from inertiq.problems import Problem, as_point
 
 
 @pytest.fixture(scope="module")
@@ -223,6 +232,148 @@ class TestIntegrateRecordsPinned:
         recs = integrate(problem, 1.0, 0.1, spec, [3.0] * dim, [0.0] * dim,
                          t0=t0, t_end=t0 + 3.0, dt=1e-2)
         assert _records_digest(recs) == self.PINNED[(name, pert)]
+
+
+def _integrate_reference(problem, alpha, beta, pert, x0, v0, t0, t_end, dt, record_every=1):
+    """The array-state RK4 loop and its records, as ``integrate`` ran them at
+    every dimension before one-dimensional states became Python floats; the
+    float path must equal it bit for bit."""
+
+    def make_record(t, x, v):
+        lookahead = float(problem.func(x + beta * v))
+        if problem.minimizer is not None and problem.min_value is not None:
+            value_error = lookahead - problem.min_value
+            w = x - problem.minimizer
+            traj_error = math.sqrt(w.dot(w))
+            energy = continuous_energy(problem, alpha, beta, x, v)
+        else:
+            value_error, traj_error, energy = lookahead, float("nan"), float("nan")
+        return TrajectoryRecord(t, x, v, value_error, traj_error, math.sqrt(v.dot(v)), energy)
+
+    x = as_point(x0, problem.dimension).copy()
+    v = as_point(v0, problem.dimension).copy()
+    dim = problem.dimension
+    n_steps = max(1, int(round((t_end - t0) / dt)))
+    half = 0.5 * dt
+    sixth = dt / 6.0
+    perturbed = not pert.is_zero
+    gaussian = perturbed and pert.model == "gaussian_decay"
+    frozen = None
+
+    def accel(j, tt, xx, vv):
+        a = -alpha * vv - problem.grad(xx + beta * vv)
+        if perturbed:
+            a = a + (frozen if gaussian else dynamics.sample_continuous(pert, tt, dim, step=j))
+        return a
+
+    records = [make_record(t0, x, v)]
+    for j in range(n_steps):
+        t = t0 + j * dt
+        if gaussian:
+            frozen = dynamics.sample_continuous(pert, t, dim, step=j)
+        k1v = accel(j, t, x, v)
+        x2 = x + half * v
+        v2 = v + half * k1v
+        k2v = accel(j, t + half, x2, v2)
+        x3 = x + half * v2
+        v3 = v + half * k2v
+        k3v = accel(j, t + half, x3, v3)
+        x4 = x + dt * v3
+        v4 = v + dt * k3v
+        k4v = accel(j, t + dt, x4, v4)
+        x = x + sixth * (v + 2.0 * v2 + 2.0 * v3 + v4)
+        v = v + sixth * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
+        t_next = t0 + (j + 1) * dt
+        xmax = float(np.max(np.abs(x)))
+        vmax = float(np.max(np.abs(v)))
+        if not (xmax <= BLOWUP_NORM and vmax <= BLOWUP_NORM):
+            raise Divergence(
+                f"trajectory blew up at t = {t_next:.6g} (|x|={xmax:.3g}, |v|={vmax:.3g})",
+                when=t_next,
+            )
+        if (j + 1) % record_every == 0 or j + 1 == n_steps:
+            records.append(make_record(t_next, x, v))
+    return records
+
+
+def _overflowing_gradient(x):
+    # Concave and steep: the flow escapes, and within a few steps the stage
+    # arithmetic reaches inf and NaN before the blow-up guard reads the state.
+    (t,) = x.tolist()
+    return np.array([-1e300 * t * abs(t)])
+
+
+_ONE_D_PROBLEMS = {
+    "example51": builtin_problem("example51"),
+    "quadratic": make_quadratic([2.5]),
+    "overflow": Problem(dimension=1, func=lambda x: float(-1e300 * x[0] ** 2),
+                        grad=_overflowing_gradient, gamma=1.0, lipschitz=1.0),
+}
+
+
+def _bytes(records):
+    """Every field of every record, as bytes: arrays with shape and dtype."""
+    out = []
+    for r in records:
+        out.append(struct.pack("<d", r.t))
+        for a in (r.x, r.v):
+            out.append(repr((a.shape, a.dtype)).encode() + a.tobytes())
+        out.append(struct.pack("<4d", r.value_error, r.traj_error, r.speed, r.energy))
+    return out
+
+
+def _outcome(fn, *args, **kwargs):
+    with np.errstate(all="ignore"):  # the reference's overflowing arrays warn
+        try:
+            return "records", _bytes(fn(*args, **kwargs))
+        except Divergence as exc:
+            return "divergence", struct.pack("<d", exc.when), str(exc)
+
+
+class TestFloatStateMatchesReference:
+    """At d = 1 the state is two Python floats; records, blow-up times and
+    messages equal the array-state reference bit for bit."""
+
+    @settings(max_examples=300, database=None, derandomize=True, deadline=None)
+    @given(
+        name=st.sampled_from(sorted(_ONE_D_PROBLEMS)),
+        forcing=st.sampled_from(["none", "e1", "random", "tuple", "gauss"]),
+        alpha=st.floats(min_value=0.05, max_value=3.0),
+        beta=st.floats(min_value=0.0, max_value=2.0),
+        x0=st.floats(min_value=-5.0, max_value=5.0),
+        v0=st.floats(min_value=-5.0, max_value=5.0),
+        t0=st.floats(min_value=0.1, max_value=5.0),
+        dt=st.floats(min_value=1e-3, max_value=0.2),
+        n_steps=st.integers(min_value=1, max_value=40),
+        record_every=st.integers(min_value=1, max_value=9),
+        seed=st.integers(min_value=0, max_value=2**32),
+    )
+    def test_bitwise_equal(self, name, forcing, alpha, beta, x0, v0, t0, dt, n_steps,
+                           record_every, seed):
+        pert = {
+            "none": PerturbationSpec.none(),
+            "e1": PerturbationSpec.power(0.3, 1.5),
+            "random": PerturbationSpec.power(0.3, 0.5, direction="random", seed=seed),
+            "tuple": PerturbationSpec.power(0.2, 1.0, direction=(-2.0,)),
+            "gauss": PerturbationSpec.gaussian(0.5, 0.1, seed=seed),
+        }[forcing]
+        args = (_ONE_D_PROBLEMS[name], alpha, beta, pert, [x0], [v0])
+        kwargs = dict(t0=t0, t_end=t0 + n_steps * dt, dt=dt, record_every=record_every)
+        assert _outcome(integrate, *args, **kwargs) == _outcome(
+            _integrate_reference, *args, **kwargs)
+
+    def test_overflow_diverges(self):
+        # the overflowing problem does reach the guard through NaN
+        with pytest.raises(Divergence, match="nan"):
+            integrate(_ONE_D_PROBLEMS["overflow"], 1.0, 0.1, PerturbationSpec.none(),
+                      [3.0], [0.0], t_end=1.0, dt=0.1)
+
+    def test_gradient_of_wrong_length(self, sine_well):
+        # a 1-D problem's gradient must have one element; it is not broadcast
+        wide = dataclasses.replace(sine_well, grad=lambda x: np.array([2.0, 1.0]) * x)
+        with pytest.raises(DimensionMismatch, match="2 elements"):
+            integrate(wide, 1.0, 0.1, PerturbationSpec.none(), [3.0], [0.0],
+                      t_end=0.1, dt=1e-2)
 
 
 class TestRandomDirectionForcing:

@@ -210,12 +210,11 @@ class TestGradientCounts:
 
 class TestLiveGradients:
     """A record's gradient stays alive only for the steps that read it: HBM
-    (g_k, kept with g_{k-1} by the rotation) and the corrected variants (g_k
-    and g_{k-1}).  IAA and NAG read none, so none is kept; at d = 2^16 each
-    is 512 KB."""
+    (g_k) and the corrected variants (g_k and g_{k-1}).  IAA and NAG read
+    none, so none is kept; at d = 2^16 each is 512 KB."""
 
     @pytest.mark.parametrize("variant, peak", [
-        ("IAA", 0), ("HBM", 2), ("NAG", 0), ("HBM_H", 2), ("NAG_H", 2),
+        ("IAA", 0), ("HBM", 1), ("NAG", 0), ("HBM_H", 2), ("NAG_H", 2),
     ])
     def test_peak_live_gradients(self, variant, peak):
         basin = builtin_problem("example52")
