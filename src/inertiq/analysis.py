@@ -378,8 +378,12 @@ def discrete_energy(problem: Problem, c: float, x_k, x_km1) -> float:
     if not (c > 0):
         raise ValueError(f"energy weight c must be positive, got {c}")
     xk = as_point(x_k, problem.dimension)
-    xp = as_point(x_km1, problem.dimension)
-    step = xk - xp
-    return float(problem.func(xk)) - problem.min_value + 0.5 * c * float(
-        np.dot(step, step)
-    )
+    dx = xk - as_point(x_km1, problem.dimension)
+    value_error = float(problem.func(xk)) - problem.min_value
+    return _discrete_energy(value_error, c, math.sqrt(dx.dot(dx)))
+
+
+def _discrete_energy(value_error: float, c: float, step: float) -> float:
+    """:func:`discrete_energy` from value_error = f(x_k) - f* and the step
+    length |x_k - x_{k-1}|, as ``run()``'s records hold them."""
+    return value_error + 0.5 * c * step * step

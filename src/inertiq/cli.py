@@ -26,13 +26,8 @@ EXIT_USAGE = 2
 EXIT_DIVERGENCE = 3
 
 
-def _parse_vector(text: str) -> tuple[float, ...]:
-    return tuple(float(tok) for tok in text.replace(",", " ").split())
-
-
 def _parse_box(text: str, dim: int):
-    axes = [seg for seg in text.split(";") if seg.strip()]
-    pairs = [tuple(float(t) for t in seg.replace(",", " ").split()) for seg in axes]
+    pairs = [experiments.parse_numbers(seg) for seg in text.split(";") if seg.strip()]
     if any(len(p) != 2 for p in pairs):
         raise ValueError(f"bad box spec {text!r}; use 'lo,hi' or 'lo,hi;lo,hi'")
     if len(pairs) == 1:
@@ -69,8 +64,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", type=float, required=True)
     p.add_argument("--beta", type=float, default=0.0)
     p.add_argument("--perturb", default="none")
-    p.add_argument("--x0", type=_parse_vector, required=True)
-    p.add_argument("--v0", type=_parse_vector, default=None)
+    p.add_argument("--x0", type=experiments.parse_numbers, required=True)
+    p.add_argument("--v0", type=experiments.parse_numbers, default=None)
     p.add_argument("--t0", type=float, default=None, help="default 0, or 1 for perturbed runs")
     p.add_argument("--t-end", type=float, required=True)
     p.add_argument("--dt", type=float, default=1e-3)
@@ -85,7 +80,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--theta", type=float, default=0.0)
     p.add_argument("--step", type=float, default=None, help="IAA step size s")
     p.add_argument("--perturb", default="none")
-    p.add_argument("--x0", type=_parse_vector, required=True)
+    p.add_argument("--x0", type=experiments.parse_numbers, required=True)
     p.add_argument("--tol", type=float, default=1e-10)
     p.add_argument("--no-tol", action="store_true", help="run to max-iter")
     p.add_argument("--max-iter", type=int, default=100_000)
@@ -183,7 +178,7 @@ def cmd_ode(args) -> int:
             f"ode problem={args.problem} alpha={args.alpha:g} beta={args.beta:g} "
             f"perturb={args.perturb} seed={args.seed} dt={args.dt:g}"
         )
-        experiments.write_trajectory_csv(Path(args.out), records, note)
+        experiments.write_records_csv(Path(args.out), records, note)
     if not args.quiet:
         last = records[-1]
         print(
@@ -233,8 +228,7 @@ def cmd_exp(args) -> int:
     else:
         raise UnknownPreset(f"{target!r} is neither a preset nor a config file")
     if args.seeds:
-        seeds = tuple(int(t) for t in args.seeds.replace(",", " ").split())
-        cfg = dataclasses.replace(cfg, seeds=seeds)
+        cfg = dataclasses.replace(cfg, seeds=experiments.parse_numbers(args.seeds, int))
     summary = experiments.execute(cfg, out_dir=args.out_dir)
     if not args.quiet:
         print(experiments.render_summary(summary))

@@ -20,7 +20,7 @@ from __future__ import annotations
 import configparser
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -183,55 +183,39 @@ def format_float(x: float) -> str:
     return f"{x:.17g}"
 
 
+# Keyed by the annotation as written: the record modules postpone theirs.
+_FIELD_FORMATS = {"int": str, "float": format_float}
+
+
+def write_records_csv(path: Path, records, header_note: str = "") -> None:
+    """One row per record; the columns are the record dataclass's fields in
+    declaration order, a ``Vector`` field spanning one per coordinate (``x``
+    at d = 1, else ``x0, x1, ...``), each formatted by its annotation."""
+    names, columns = [], []
+    for f in fields(records[0]):
+        values = [getattr(rec, f.name) for rec in records]
+        if f.type == "Vector":  # a float from tolist() renders as its np.float64 does, faster
+            cols = [map(format_float, c) for c in np.array(values).T.tolist()]
+        else:
+            cols = [map(_FIELD_FORMATS[f.type], values)]
+        names += [f.name] if len(cols) == 1 else [f"{f.name}{i}" for i in range(len(cols))]
+        columns += cols
+    lines = [f"# {header_note}"] if header_note else []
+    lines.append(",".join(names))
+    lines += map(",".join, zip(*columns))  # the columns are lazy: one row at a time
+    path.write_text("\n".join(lines) + "\n", newline="\n")
+
+
 def write_run_csv(path: Path, result: RunResult, setup: RunSetup) -> None:
-    dim = result.records[0].x.shape[0]
-    coord_names = ["x"] if dim == 1 else [f"x{i}" for i in range(dim)]
     cfg = setup.config
     injection = f"{METHODS[cfg.variant].step_size}*eps_k"
     header = (
-        f"# {setup.label}: variant={cfg.variant} alpha={cfg.alpha:g} "
+        f"{setup.label}: variant={cfg.variant} alpha={cfg.alpha:g} "
         f"beta={cfg.beta:g} theta={cfg.theta:g} s={cfg.s if cfg.s else 0:g} "
         f"perturb={format_perturbation(cfg.perturb)} seed={cfg.perturb.seed} "
         f"(perturbation enters the update as +{injection})"
     )
-    cols = ["k", *coord_names, "value_error", "grad_norm", "dist", "step", "energy", "n_grad_evals"]
-    lines = [header, ",".join(cols)]
-    for rec in result.records:
-        row = [str(rec.k)]
-        row += [format_float(v) for v in rec.x]
-        row += [
-            format_float(rec.value_error),
-            format_float(rec.grad_norm),
-            format_float(rec.dist),
-            format_float(rec.step),
-            format_float(rec.energy),
-            str(rec.n_grad_evals),
-        ]
-        lines.append(",".join(row))
-    path.write_text("\n".join(lines) + "\n", newline="\n")
-
-
-def write_trajectory_csv(path: Path, records, header_note: str = "") -> None:
-    dim = records[0].x.shape[0]
-    xs = ["x"] if dim == 1 else [f"x{i}" for i in range(dim)]
-    vs = ["v"] if dim == 1 else [f"v{i}" for i in range(dim)]
-    cols = ["t", *xs, *vs, "value_error", "traj_error", "speed", "energy"]
-    lines = []
-    if header_note:
-        lines.append(f"# {header_note}")
-    lines.append(",".join(cols))
-    for rec in records:
-        row = [format_float(rec.t)]
-        row += [format_float(v) for v in rec.x]
-        row += [format_float(v) for v in rec.v]
-        row += [
-            format_float(rec.value_error),
-            format_float(rec.traj_error),
-            format_float(rec.speed),
-            format_float(rec.energy),
-        ]
-        lines.append(",".join(row))
-    path.write_text("\n".join(lines) + "\n", newline="\n")
+    write_records_csv(path, result.records, header)
 
 
 # ---------------------------------------------------------------------------
@@ -347,15 +331,12 @@ def execute(
                     n_grad_evals=result.n_grad_evals,
                 )
             )
+            run_setup = replace(setup, config=run_cfg)
             if seed is None or seed == cfg.seeds[0]:
-                checks.extend(_t41_checks(problem, replace(setup, config=run_cfg), result))
+                checks.extend(_t41_checks(problem, run_setup, result))
             if out is not None and "csv" in cfg.emit:
                 suffix = "" if seed is None else f"_seed{seed}"
-                write_run_csv(
-                    out / f"{setup.label}{suffix}.csv",
-                    result,
-                    replace(setup, config=run_cfg),
-                )
+                write_run_csv(out / f"{setup.label}{suffix}.csv", result, run_setup)
 
     ordering = _ordering(cfg, stats)
     summary = ComparisonSummary(
@@ -417,8 +398,15 @@ def render_summary(summary: ComparisonSummary) -> str:
 # Config files (INI: one [run <label>] section per run)
 # ---------------------------------------------------------------------------
 
+def parse_numbers(text: str, kind=float) -> tuple:
+    """Numbers split at commas, whitespace or both (``1,2``, ``1 2``), each
+    converted by ``kind``: the grammar of points, box axes and seed lists."""
+    return tuple(kind(tok) for tok in text.replace(",", " ").split())
+
+
 def read_config(path: str | Path) -> ExperimentConfig:
-    """Read a flat key-value experiment file.
+    """Read a flat key-value experiment file. Any other section, or a key
+    its section does not read, is a ``ValueError``.
 
     ::
 
@@ -442,9 +430,22 @@ def read_config(path: str | Path) -> ExperimentConfig:
         parser.read_file(fh)
     if "experiment" not in parser:
         raise ValueError(f"{path}: missing [experiment] section")
+    experiment_keys = frozenset("problem seeds emit outputs".split())
+    run_keys = frozenset("algo alpha beta theta step x0 tol max_iter perturb".split())
+    # configparser copies [DEFAULT] keys into every section: check them once.
+    defaults = set(parser.defaults())
+    unknown = {parser.default_section: defaults - experiment_keys - run_keys}
+    for section in parser.sections():
+        if section != "experiment" and section.split()[:1] != ["run"]:
+            raise ValueError(f"{path}: unknown section [{section}]")
+        allowed = experiment_keys if section == "experiment" else run_keys
+        unknown[section] = set(parser[section]) - defaults - allowed
+    for section, keys in unknown.items():
+        if keys:
+            raise ValueError(f"{path}: unknown key {min(keys)!r} in [{section}]")
     exp = parser["experiment"]
     problem = exp.get("problem", "example51")
-    seeds = tuple(int(tok) for tok in exp.get("seeds", "0").split())
+    seeds = parse_numbers(exp.get("seeds", "0"), int)
     if not seeds:
         raise ValueError(f"{path}: seeds must not be empty")
     emit = frozenset(exp.get("emit", "csv summary checks").split())
@@ -471,7 +472,7 @@ def read_config(path: str | Path) -> ExperimentConfig:
         tol_raw = sec.get("tol", "")
         tol = float(tol_raw) if tol_raw and tol_raw.lower() != "none" else None
         stop = StoppingRule(tol=tol, max_iter=sec.getint("max_iter", 100_000))
-        x0 = tuple(float(tok) for tok in sec.get("x0", "0").replace(",", " ").split())
+        x0 = parse_numbers(sec.get("x0", "0"))
         runs.append(RunSetup(label, config, x0, stop))
     return ExperimentConfig(
         problem=problem, runs=tuple(runs), seeds=seeds, outputs=outputs, emit=emit

@@ -275,7 +275,7 @@ def run(
         else:
             dist = float("nan")
         if c_energy is not None and c_energy > 0:
-            energy = value_error + 0.5 * c_energy * step * step
+            energy = analysis._discrete_energy(value_error, c_energy, step)
         elif c_energy == 0.0:
             energy = value_error
         else:

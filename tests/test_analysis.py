@@ -398,6 +398,21 @@ class TestEnergies:
         assert e == pytest.approx(1.0 + 2.0 * math.sin(1.0) ** 2 + 2.0, rel=1e-15)
         assert e == pytest.approx(4.416147, abs=1e-6)
 
+    @pytest.mark.parametrize("name, alpha, beta, s, x0", [
+        ("example51", 0.3, 0.2, 1.0 / 6.0, [3.0]),
+        ("example52", 0.4, 0.15, 0.125, [3.0, 3.0]),
+        ("quadratic(3,[1,2,4])", 0.3, 0.2, 0.25, [3.0, -2.0, 1.0]),
+    ])
+    def test_discrete_equals_run_records(self, name, alpha, beta, s, x0):
+        # The energy run() records for IAA is discrete_energy, bit for bit.
+        problem = builtin_problem(name)
+        cfg = inertiq.AlgorithmConfig(variant="IAA", alpha=alpha, beta=beta, s=s)
+        stop = inertiq.StoppingRule(tol=None, max_iter=400)
+        records = inertiq.run(problem, cfg, x0, stop=stop).records
+        c = beta / (alpha * s)
+        for prev, rec in zip([records[0], *records], records):
+            assert discrete_energy(problem, c, rec.x, prev.x) == rec.energy, rec.k
+
     def test_nonnegative_on_samples(self, sine_well):
         rng = np.random.default_rng(31)
         for _ in range(500):

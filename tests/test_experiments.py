@@ -1,11 +1,25 @@
 """Presets, experiment execution, CSV/summary/checks emission, CLI surface."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
-from inertiq import ExperimentConfig, builtin_problem, execute, preset, read_config
-from inertiq.cli import main
+from inertiq import (
+    AlgorithmConfig,
+    ExperimentConfig,
+    PerturbationSpec,
+    StoppingRule,
+    builtin_problem,
+    execute,
+    integrate,
+    preset,
+    read_config,
+    run,
+)
+from inertiq.cli import _load_series, main
 from inertiq.errors import UnknownPreset
+from inertiq.experiments import render_summary, write_records_csv
 
 
 class TestPresets:
@@ -243,6 +257,38 @@ perturb = gauss:sigma0=0.001,decay=0.01
         # different seeds produce different endpoints
         assert per[0].final_dist != per[1].final_dist
 
+    def test_seed_list_takes_commas(self, tmp_path):
+        path = tmp_path / "noisy.ini"
+        summaries = []
+        for seeds in ("1 2", "1,2"):
+            path.write_text(self.PERTURBED_CONFIG.replace("seeds = 1 2", f"seeds = {seeds}"))
+            summaries.append(render_summary(execute(read_config(path))))
+        assert summaries[0] == summaries[1]
+
+    @pytest.mark.parametrize("text, message", [
+        ("[experiment]\n[run IAA]\nalpah = 0.3\n", r"unknown key 'alpah' in \[run IAA\]"),
+        ("[experiment]\nseed = 3\n", r"unknown key 'seed' in \[experiment\]"),
+        ("[experiment]\nalgo = hbm\n", r"unknown key 'algo' in \[experiment\]"),
+        ("[experiment]\n[run r]\nseeds = 3\n", r"unknown key 'seeds' in \[run r\]"),
+        ("[DEFAULT]\nalpah = 0.3\n[experiment]\n", r"unknown key 'alpah' in \[DEFAULT\]"),
+        ("[experiment]\n[runs r]\nalgo = hbm\n", r"unknown section \[runs r\]"),
+        ("[experiment]\n[plot]\n", r"unknown section \[plot\]"),
+    ], ids=["run", "experiment", "run-key-in-experiment", "experiment-key-in-run", "default",
+            "run-prefix", "other-section"])
+    def test_unknown_key_or_section_rejected(self, tmp_path, text, message):
+        path = tmp_path / "exp.ini"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=message):
+            read_config(path)
+
+    def test_default_keys_may_serve_either_section(self, tmp_path):
+        path = tmp_path / "exp.ini"
+        path.write_text("[DEFAULT]\nproblem = example52\nx0 = 3,3\n[experiment]\n"
+                        "[run r]\nalgo = hbm\nbeta = 0.04\n")
+        cfg = read_config(path)
+        assert cfg.problem == "example52"
+        assert cfg.runs[0].x0 == (3.0, 3.0)
+
     def test_cli_exp_with_config_file(self, tmp_path):
         path = tmp_path / "exp.ini"
         path.write_text(self.CONFIG)
@@ -279,6 +325,46 @@ class TestCli:
         lines = out.read_text().splitlines()
         assert lines[1] == "t,x,v,value_error,traj_error,speed,energy"
         assert len(lines) == 2 + 11  # comment + header + t0 + 10 records
+
+    def test_ode_csv_2d(self, tmp_path):
+        out = tmp_path / "traj.csv"
+        code = main([
+            "ode", "--problem", "example52", "--alpha", "1.0", "--x0", "3,3",
+            "--v0", "0 1", "--t-end", "0.1", "--dt", "0.01", "--out", str(out), "--quiet",
+        ])
+        assert code == 0
+        lines = out.read_text().splitlines()
+        assert lines[1] == "t,x0,x1,v0,v1,value_error,traj_error,speed,energy"
+        assert lines[2].split(",")[:5] == ["0", "3", "3", "0", "1"]
+
+    @pytest.mark.parametrize("command", ["opt", "ode"])
+    def test_rate_reads_every_float_column(self, tmp_path, capsys, command):
+        out = tmp_path / f"{command}.csv"
+        if command == "opt":
+            cfg = AlgorithmConfig(variant="IAA", alpha=0.3, beta=0.2, s=1.0 / 6.0)
+            records = run(builtin_problem("example51"), cfg, [3.0],
+                          stop=StoppingRule(tol=None, max_iter=40)).records
+            columns = ["x", "value_error", "grad_norm", "dist", "step", "energy"]
+            argv = ["opt", "--alpha", "0.3", "--beta", "0.2", "--step", "0.16666666666666666",
+                    "--x0", "3", "--no-tol", "--max-iter", "40"]
+        else:
+            records = integrate(builtin_problem("example52"), 1.0, 0.1, PerturbationSpec.none(),
+                                [3.0, 3.0], [0.0, 0.0], t0=0.0, t_end=0.5, dt=0.01)
+            columns = ["x0", "x1", "v0", "v1", "value_error", "traj_error", "speed", "energy"]
+            argv = ["ode", "--problem", "example52", "--alpha", "1", "--beta", "0.1",
+                    "--x0", "3,3", "--t-end", "0.5", "--dt", "0.01"]
+        assert main([*argv, "--out", str(out), "--quiet"]) == 0
+        index = [float(r.k if command == "opt" else r.t) for r in records]
+        for column in columns:
+            # Every value reads back as the record holds it, bit for bit.
+            if hasattr(records[0], column):
+                values = [np.ravel(getattr(r, column))[0] for r in records]
+            else:
+                values = [getattr(r, column[0])[int(column[1:])] for r in records]
+            assert _load_series(str(out), column) == list(zip(index, values)), column
+            capsys.readouterr()
+            assert main(["rate", str(out), "--column", column, "--window", "1.0"]) != 2
+            assert not capsys.readouterr().err.startswith("usage error"), column
 
     def test_check_passes(self):
         code = main(["check", "--problem", "example51", "--box=-10,10",
@@ -331,12 +417,17 @@ class TestCli:
         empty.write_text("[experiment]\nseeds =\n[run r]\nalgo = hbm\nbeta = 0.04\n")
         comments = tmp_path / "comments.csv"
         comments.write_text("# no header\n# nor rows\n")
+        typo = tmp_path / "typo.ini"
+        typo.write_text("[experiment]\n[run IAA]\nalgo = iaa\nalpah = 0.3\nbeta = 0.2\n"
+                        "step = 0.16666666666666666\nx0 = 3\nmax_iter = 5\n")
         nodir = tmp_path / "nodir"
         capsys.readouterr()
         for argv in (
             # empty seed lists, from the command line and from a config file
             ["exp", "fig45", "--seeds", ",", "--quiet"],
             ["exp", str(empty), "--quiet"],
+            # a key its config section does not read
+            ["exp", str(typo), "--quiet"],
             # files that cannot be read or written
             ["rate", str(tmp_path / "missing.csv")],
             ["rate", str(comments)],
@@ -370,3 +461,51 @@ class TestCli:
             "--no-tol", "--max-iter", "5000", "--quiet",
         ])
         assert code == 3
+
+
+class TestOdeCsvPinned:
+    """SHA-256 of trajectory CSVs, fixed before the run and trajectory CSV
+    writers became one (x86-64, IEEE-754 doubles)."""
+
+    PERTURB = {
+        "none": "none",
+        "power_random": "power:c0=0.1,p=1,dir=random",
+        "gauss": "gauss:sigma0=0.01,decay=0.01",
+    }
+    PINNED = {
+        ("example51", "none"):
+            "7c89e9988c7d28ca3d7ae620c48cb5146e6a1537dde9e3e701e96464cc8eb790",
+        ("example51", "power_random"):
+            "755722748fbb9b6e65a8aea1907b9fa20d04ec010bbe484bcee5659d57174ef6",
+        ("example51", "gauss"):
+            "50cf4e9f9d170fb20428527d3fc2dcf3ef7589ec04e84719c31bd1a03f278a59",
+        ("example52", "none"):
+            "06022eba98bef127587ce63c8200f04b734afd50d7837dd0e2b27ca10aed1eed",
+        ("example52", "power_random"):
+            "11c62943c4521be4ffea44d16a2e963a7cac27f65b53d453b0042d07a0272202",
+        ("example52", "gauss"):
+            "b99e340bb915179725eab0ad3f00a9fd519e59b45f19b708ab53ceb6af7a8ef3",
+    }
+
+    @pytest.mark.parametrize("name, pert", sorted(PINNED))
+    def test_ode_out(self, tmp_path, name, pert):
+        out = tmp_path / "traj.csv"
+        x0 = ",".join(["3"] * builtin_problem(name).dimension)
+        code = main([
+            "ode", "--problem", name, "--alpha", "1", "--beta", "0.1",
+            "--perturb", self.PERTURB[pert], "--seed", "3", "--x0", x0, "--t-end", "3",
+            "--dt", "0.01", "--record-every", "7", "--out", str(out), "--quiet",
+        ])
+        assert code == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == self.PINNED[(name, pert)]
+
+    def test_int_t0(self, tmp_path):
+        # Record 0's t is the int t0; every later time still prints as a float.
+        records = integrate(builtin_problem("example51"), 1.0, 0.1, PerturbationSpec.none(),
+                            [3.0], [0.0], t0=0, t_end=1.0, dt=0.01)
+        assert type(records[0].t) is int and type(records[7].t) is float
+        out = tmp_path / "traj.csv"
+        write_records_csv(out, records)
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            "3ca1e910453598f2fc8c93e51b2cff96de0ff3b91c3a3d2a25f40e69e99b9c60"
+        )
