@@ -17,7 +17,7 @@ from .analysis import (
     parameter_box,
     rate_constants,
 )
-from .dynamics import OdeState, TrajectoryRecord, integrate, rate_certificate, rhs
+from .dynamics import TrajectoryRecord, integrate, rate_certificate
 from .experiments import (
     ComparisonSummary,
     ExperimentConfig,
@@ -41,7 +41,7 @@ from .perturbations import (
     sample_continuous,
     sample_discrete,
 )
-from .problems import Problem, as_point, builtin_problem, eval_pair, make_quadratic
+from .problems import Problem, as_point, builtin_problem, make_quadratic
 from .rates import RateFit, fit_rate, geometric_sum_oracle, oscillation_metric
 
 __version__ = "0.1.0"
@@ -53,7 +53,6 @@ __all__ = [
     "ExperimentConfig",
     "Interval",
     "IterateRecord",
-    "OdeState",
     "ParameterBox",
     "PerturbationSpec",
     "Problem",
@@ -67,7 +66,6 @@ __all__ = [
     "check_assumptions",
     "continuous_energy",
     "discrete_energy",
-    "eval_pair",
     "execute",
     "fit_rate",
     "geometric_sum_oracle",
@@ -80,7 +78,6 @@ __all__ = [
     "rate_certificate",
     "rate_constants",
     "read_config",
-    "rhs",
     "run",
     "sample_continuous",
     "sample_discrete",

@@ -215,7 +215,7 @@ def rate_constants(
         )
     gamma, L = problem.gamma, problem.lipschitz
     if theorem in ("T31", "T32"):
-        return {"lambda": 2.0 * alpha / (problem.kappa + 4.0)}
+        return dict(box.derived)
     step = box.s
     c = beta / (alpha * step)
     denom_grad = 2.0 * L / gamma**2 + beta / 2.0

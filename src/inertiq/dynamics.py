@@ -29,16 +29,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analysis import _continuous_energy, continuous_energy  # noqa: F401 (perfbench wraps it)
-from .errors import BLOWUP_NORM, DimensionMismatch, Divergence, EmptyTrajectory, NonFiniteState
+from .errors import BLOWUP_NORM, DimensionMismatch, Divergence, EmptyTrajectory
 from .perturbations import PerturbationSpec, sample_continuous
 from .problems import Problem, Vector, as_point
-
-
-@dataclass(frozen=True)
-class OdeState:
-    t: float
-    x: Vector
-    v: Vector
 
 
 @dataclass(frozen=True)
@@ -57,29 +50,6 @@ class TrajectoryRecord:
     traj_error: float
     speed: float
     energy: float
-
-
-def rhs(
-    problem: Problem,
-    alpha: float,
-    beta: float,
-    pert: PerturbationSpec,
-    state: OdeState,
-    step: int | None = None,
-) -> tuple[Vector, Vector]:
-    """Right-hand side (dx, dv) = (v, -alpha v - grad f(x + beta v) + eps(t)).
-
-    eps(t) is ``sample_continuous(pert, t, dim, step)``.  Gaussian noise and
-    random-direction power forcing need the integrator step index ``step``,
-    as in :func:`integrate`: their draws are frozen per step.
-    """
-    if not (alpha > 0) or beta < 0:
-        raise ValueError("rhs needs alpha > 0 and beta >= 0")
-    x, v = np.asarray(state.x, dtype=float), np.asarray(state.v, dtype=float)
-    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(v))):
-        raise NonFiniteState(f"state at t = {state.t} contains NaN/Inf")
-    eps = None if pert.is_zero else sample_continuous(pert, state.t, problem.dimension, step=step)
-    return v, _accel(problem.grad, alpha, beta, x, v, eps)
 
 
 def _accel(grad, alpha: float, beta: float, x, v, eps=None):

@@ -11,10 +11,6 @@ class NonFiniteInput(InertiqError):
     """An input vector contains NaN or Inf."""
 
 
-class NonFiniteValue(InertiqError):
-    """An objective or gradient evaluation produced NaN or Inf."""
-
-
 class DimensionMismatch(InertiqError):
     """Vector length does not match the problem dimension."""
 
@@ -37,10 +33,6 @@ class EmptyBetaInterval(InertiqError):
 
 class OutOfBox(InertiqError):
     """(alpha, beta, s) do not satisfy the theorem's hypotheses."""
-
-
-class NonFiniteState(InertiqError):
-    """ODE state contains NaN or Inf."""
 
 
 class NonFiniteIterate(InertiqError):

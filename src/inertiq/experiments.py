@@ -405,8 +405,9 @@ def parse_numbers(text: str, kind=float) -> tuple:
 
 
 def read_config(path: str | Path) -> ExperimentConfig:
-    """Read a flat key-value experiment file. Any other section, or a key
-    its section does not read, is a ``ValueError``.
+    """Read a flat key-value experiment file. Any other section, a key its
+    section does not read, or a file configparser cannot parse is a
+    ``ValueError``; ``%`` is an ordinary character, not interpolation.
 
     ::
 
@@ -425,9 +426,12 @@ def read_config(path: str | Path) -> ExperimentConfig:
         max_iter = 100000
         perturb = none
     """
-    parser = configparser.ConfigParser()
+    parser = configparser.ConfigParser(interpolation=None)
     with open(path) as fh:
-        parser.read_file(fh)
+        try:
+            parser.read_file(fh)
+        except configparser.Error as exc:
+            raise ValueError(f"{path}: {exc}") from exc
     if "experiment" not in parser:
         raise ValueError(f"{path}: missing [experiment] section")
     experiment_keys = frozenset("problem seeds emit outputs".split())

@@ -17,7 +17,7 @@ from typing import Callable, Sequence
 import numpy as np
 from numpy.typing import NDArray
 
-from .errors import DimensionMismatch, NonFiniteInput, NonFiniteValue, UnknownProblem
+from .errors import DimensionMismatch, NonFiniteInput, UnknownProblem
 
 Vector = NDArray[np.float64]
 
@@ -80,20 +80,6 @@ class Problem:
                 )
             if self.min_value is None:
                 object.__setattr__(self, "min_value", float(self.func(xstar)))
-
-
-def eval_pair(problem: Problem, x) -> tuple[float, Vector]:
-    """Evaluate (f(x), grad f(x)); raises if input or output is non-finite."""
-    xv = as_point(x, problem.dimension)
-    value = float(problem.func(xv))
-    gradient = np.asarray(problem.grad(xv), dtype=np.float64)
-    if gradient.shape != (problem.dimension,):
-        raise DimensionMismatch(
-            f"gradient has shape {gradient.shape}, expected ({problem.dimension},)"
-        )
-    if not math.isfinite(value) or not np.all(np.isfinite(gradient)):
-        raise NonFiniteValue(f"non-finite evaluation at x = {xv}")
-    return value, gradient
 
 
 # ---------------------------------------------------------------------------

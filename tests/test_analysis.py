@@ -20,7 +20,7 @@ from inertiq import (
     parameter_box,
     rate_constants,
 )
-from inertiq.analysis import SLACK_TOL, AssumptionReport
+from inertiq.analysis import SLACK_TOL, AssumptionReport, Interval
 from inertiq.cli import main
 from inertiq.errors import (
     InfeasibleAlpha,
@@ -38,6 +38,51 @@ def sine_well():
 @pytest.fixture(scope="module")
 def arctan_basin():
     return builtin_problem("example52")
+
+
+_ENDS = [(False, False), (False, True), (True, False), (True, True)]
+
+
+class TestInterval:
+    @settings(max_examples=200, database=None, derandomize=True, deadline=None)
+    @given(
+        lo=st.floats(min_value=-1e6, max_value=1e6),
+        width=st.floats(min_value=1e-3, max_value=1e6),
+        offset=st.floats(min_value=1e-3, max_value=1e6),
+        ends=st.sampled_from(_ENDS),
+    )
+    def test_endpoint_semantics(self, lo, width, offset, ends):
+        lo_open, hi_open = ends
+        hi = lo + width
+        iv = Interval(lo, hi, lo_open=lo_open, hi_open=hi_open)
+        assert not iv.empty
+        assert iv.contains(lo) == (not lo_open)
+        assert iv.contains(hi) == (not hi_open)
+        assert iv.contains(iv.midpoint())
+        assert not iv.contains(lo - offset)
+        assert not iv.contains(hi + offset)
+
+    @pytest.mark.parametrize("lo_open, hi_open", _ENDS)
+    def test_degenerate_interval(self, lo_open, hi_open):
+        point = Interval(0.25, 0.25, lo_open=lo_open, hi_open=hi_open)
+        assert point.empty == (lo_open or hi_open)
+        assert point.contains(0.25) == (not point.empty)
+        # an empty interval contains nothing, not even points between its ends
+        reversed_ = Interval(1.0, 0.0, lo_open=lo_open, hi_open=hi_open)
+        assert reversed_.empty
+        assert not any(reversed_.contains(x) for x in (0.0, 0.5, 1.0))
+
+    @pytest.mark.parametrize("theorem", ["T41", "T42"])
+    def test_t4x_alpha_interval_is_open(self, sine_well, theorem):
+        alpha = parameter_box(sine_well, theorem).alpha
+        assert (alpha.lo, alpha.hi) == (0.0, 0.5)
+        assert not alpha.contains(0.0) and not alpha.contains(0.5)
+        assert alpha.contains(0.25)
+
+    def test_t31_alpha_interval_includes_upper_end(self, sine_well):
+        alpha = parameter_box(sine_well, "T31").alpha
+        assert alpha.contains(alpha.hi)
+        assert not alpha.contains(0.0)
 
 
 class TestParameterBox:
@@ -117,6 +162,9 @@ class TestRateConstants:
     def test_t31_lambda(self, sine_well):
         consts = rate_constants(sine_well, "T31", alpha=1.0, beta=0.1)
         assert consts["lambda"] == pytest.approx(24.0 / 49.0, rel=1e-15)
+        # the box's lambda, bit for bit, in a dict of the caller's own
+        box = parameter_box(sine_well, "T31", alpha=1.0)
+        assert consts == box.derived and consts is not box.derived
 
     def test_t42_sigma_vanishes_at_half_alpha(self, sine_well):
         # first branch numerator (1/2 - beta/alpha) -> 0+ as beta -> alpha/2

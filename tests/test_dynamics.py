@@ -1,4 +1,4 @@
-"""Continuous-time integration: RHS, accuracy, energy decay, certificates."""
+"""Continuous-time integration: vector field, accuracy, energy decay, certificates."""
 
 import dataclasses
 import hashlib
@@ -10,13 +10,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from inertiq import (
-    OdeState,
     PerturbationSpec,
     builtin_problem,
     integrate,
     make_quadratic,
     rate_certificate,
-    rhs,
 )
 from inertiq import dynamics
 from inertiq.analysis import continuous_energy
@@ -27,7 +25,7 @@ from inertiq.errors import (
     DimensionMismatch,
     Divergence,
     EmptyTrajectory,
-    NonFiniteState,
+    NonFiniteInput,
 )
 from inertiq.problems import Problem, as_point
 
@@ -46,46 +44,24 @@ def damped_oscillator_solution(t, x0=1.0, v0=0.0):
 
 
 class TestRhs:
+    """The acceleration dv = -alpha v - grad f(x + beta v), ``dynamics._accel``,
+    the right-hand side ``integrate`` evaluates at every RK4 stage."""
+
     def test_equilibrium(self, sine_well):
-        dx, dv = rhs(sine_well, 1.0, 0.2, PerturbationSpec.none(),
-                     OdeState(0.0, np.array([0.0]), np.array([0.0])))
-        np.testing.assert_array_equal(dx, [0.0])
+        dv = dynamics._accel(sine_well.grad, 1.0, 0.2, np.array([0.0]), np.array([0.0]))
         np.testing.assert_array_equal(dv, [0.0])
 
     def test_gradient_term(self, sine_well):
-        dx, dv = rhs(sine_well, 1.0, 0.2, PerturbationSpec.none(),
-                     OdeState(0.0, np.array([3.0]), np.array([0.0])))
-        np.testing.assert_array_equal(dx, [0.0])
+        dv = dynamics._accel(sine_well.grad, 1.0, 0.2, np.array([3.0]), np.array([0.0]))
         assert dv[0] == pytest.approx(-(6.0 + 2.0 * math.sin(6.0)), rel=1e-15)
         assert dv[0] == pytest.approx(-5.441169, abs=1e-6)
 
     def test_beta_zero_is_heavy_ball_flow(self, sine_well):
         # with beta = 0 the acceleration is -alpha v - grad f(x)
         x, v = np.array([2.0]), np.array([-1.5])
-        _, dv = rhs(sine_well, 0.7, 0.0, PerturbationSpec.none(), OdeState(0.0, x, v))
+        dv = dynamics._accel(sine_well.grad, 0.7, 0.0, x, v)
         expected = -0.7 * v - sine_well.grad(x)
         np.testing.assert_allclose(dv, expected, rtol=1e-15)
-
-    def test_nonfinite_state(self, sine_well):
-        with pytest.raises(NonFiniteState):
-            rhs(sine_well, 1.0, 0.0, PerturbationSpec.none(),
-                OdeState(0.0, np.array([np.nan]), np.array([0.0])))
-
-    @pytest.mark.parametrize("spec", [
-        PerturbationSpec.power(0.1, 1.0, direction="random", seed=3),
-        PerturbationSpec.gaussian(0.1, 0.5, seed=3),
-    ])
-    @pytest.mark.parametrize("step", [0, 7])
-    def test_step_indexed_forcing(self, spec, step):
-        # the draws that need an integrator step index take it from ``step``
-        basin = builtin_problem("example52")
-        x, v = np.array([1.0, -0.5]), np.array([0.25, 2.0])
-        _, dv = rhs(basin, 1.0, 0.1, spec, OdeState(1.5, x, v), step=step)
-        expected = (-1.0 * v - basin.grad(x + 0.1 * v)
-                    + dynamics.sample_continuous(spec, 1.5, 2, step=step))
-        assert dv.tobytes() == expected.tobytes()
-        with pytest.raises(ValueError, match="step index"):
-            rhs(basin, 1.0, 0.1, spec, OdeState(1.5, x, v))
 
 
 class TestIntegrate:
@@ -186,6 +162,13 @@ class TestIntegrate:
         with pytest.raises(ValueError):
             integrate(sine_well, 1.0, 0.1, PerturbationSpec.none(), [1.0], [0.0],
                       t0=2.0, t_end=1.0)
+
+    @pytest.mark.parametrize("x0, v0", [([np.nan], [0.0]), ([1.0], [np.inf])],
+                             ids=["x0_nan", "v0_inf"])
+    def test_nonfinite_start(self, sine_well, x0, v0):
+        with pytest.raises(NonFiniteInput):
+            integrate(sine_well, 1.0, 0.1, PerturbationSpec.none(), x0, v0,
+                      t_end=1.0, dt=1e-2)
 
 
 def _records_digest(records):

@@ -281,6 +281,27 @@ perturb = gauss:sigma0=0.001,decay=0.01
         with pytest.raises(ValueError, match=message):
             read_config(path)
 
+    # configparser's own parse errors, and a stray "%" that its default
+    # interpolation would reject at .get() time
+    MALFORMED = {
+        "duplicate-section": ("[experiment]\n[run a]\nalgo = hbm\n[run a]\nalgo = nag\n",
+                              r"section 'run a' already exists"),
+        "key-before-header": ("problem = example51\n[experiment]\n",
+                              r"no section headers"),
+        "duplicate-option": ("[experiment]\nproblem = example51\nproblem = example52\n",
+                             r"option 'problem' in section 'experiment' already exists"),
+        "percent": ("[experiment]\n[run r]\nperturb = power:c0=1%,p=1\n",
+                    r"could not convert string to float: '1%'"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED))
+    def test_malformed_file_is_value_error(self, tmp_path, case):
+        text, message = self.MALFORMED[case]
+        path = tmp_path / "exp.ini"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=message):
+            read_config(path)
+
     def test_default_keys_may_serve_either_section(self, tmp_path):
         path = tmp_path / "exp.ini"
         path.write_text("[DEFAULT]\nproblem = example52\nx0 = 3,3\n[experiment]\n"
@@ -421,6 +442,10 @@ class TestCli:
         typo.write_text("[experiment]\n[run IAA]\nalgo = iaa\nalpah = 0.3\nbeta = 0.2\n"
                         "step = 0.16666666666666666\nx0 = 3\nmax_iter = 5\n")
         nodir = tmp_path / "nodir"
+        malformed = []
+        for case, (text, _) in sorted(TestConfigFile.MALFORMED.items()):
+            malformed.append(tmp_path / f"{case}.ini")
+            malformed[-1].write_text(text)
         capsys.readouterr()
         for argv in (
             # empty seed lists, from the command line and from a config file
@@ -428,6 +453,8 @@ class TestCli:
             ["exp", str(empty), "--quiet"],
             # a key its config section does not read
             ["exp", str(typo), "--quiet"],
+            # config files configparser cannot parse, or a stray "%"
+            *(["exp", str(path), "--quiet"] for path in malformed),
             # files that cannot be read or written
             ["rate", str(tmp_path / "missing.csv")],
             ["rate", str(comments)],

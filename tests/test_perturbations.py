@@ -49,6 +49,11 @@ class TestPowerDecay:
         c = sample_discrete(spec, 6, 4)
         assert not np.array_equal(a, c)
 
+    def test_continuous_random_direction_needs_step(self):
+        spec = PerturbationSpec.power(0.1, 1.0, direction="random", seed=3)
+        with pytest.raises(ValueError, match="step index"):
+            sample_continuous(spec, 1.5, 2)
+
     def test_explicit_direction_is_normalized(self):
         spec = PerturbationSpec.power(c0=1.0, p=1.0, direction=(3.0, 4.0))
         np.testing.assert_array_equal(sample_discrete(spec, 1, 2), [0.6, 0.8])

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from inertiq import as_point, builtin_problem, eval_pair, make_quadratic
+from inertiq import as_point, builtin_problem, make_quadratic
 from inertiq.errors import DimensionMismatch, NonFiniteInput, UnknownProblem
 from inertiq.problems import Problem
 
@@ -32,14 +32,16 @@ class TestSineWell:
 
     def test_eval_at_minimizer(self):
         p = builtin_problem("example51")
-        value, grad = eval_pair(p, [0.0])
+        x = np.array([0.0])
+        value, grad = p.func(x), p.grad(x)
         assert value == 0.0
         np.testing.assert_array_equal(grad, [0.0])
 
     def test_eval_at_three(self):
         # independent scalar evaluation of x^2 + 2 sin^2 x and 2x + 2 sin 2x
         p = builtin_problem("example51")
-        value, grad = eval_pair(p, [3.0])
+        x = np.array([3.0])
+        value, grad = p.func(x), p.grad(x)
         assert value == pytest.approx(9.0 + 2.0 * math.sin(3.0) ** 2, abs=1e-14)
         assert value == pytest.approx(9.039829, abs=1e-6)
         assert grad[0] == pytest.approx(6.0 + 2.0 * math.sin(6.0), abs=1e-14)
@@ -74,7 +76,8 @@ class TestArctanBasin:
 
     def test_eval_at_minimizer(self):
         p = builtin_problem("example52")
-        value, grad = eval_pair(p, [0.0, 0.0])
+        x = np.array([0.0, 0.0])
+        value, grad = p.func(x), p.grad(x)
         assert value == pytest.approx(-math.atan(5.0), abs=1e-15)
         np.testing.assert_array_equal(grad, [0.0, 0.0])
 
@@ -99,7 +102,7 @@ class TestQuadratic:
         assert p.gamma == 1.0 and p.lipschitz == 1.0 and p.kappa == 1.0
         np.testing.assert_array_equal(p.minimizer, [0.0, 0.0])
         x = np.array([3.0, 4.0])
-        value, grad = eval_pair(p, x)
+        value, grad = p.func(x), p.grad(x)
         assert value == pytest.approx(12.5)
         np.testing.assert_array_equal(grad, x)
 
@@ -124,14 +127,14 @@ class TestValidation:
     def test_nonfinite_input(self):
         p = builtin_problem("example51")
         with pytest.raises(NonFiniteInput):
-            eval_pair(p, [float("nan")])
+            as_point([float("nan")], p.dimension)
         with pytest.raises(NonFiniteInput):
             as_point([np.inf])
 
     def test_dimension_mismatch(self):
         p = builtin_problem("example52")
         with pytest.raises(DimensionMismatch):
-            eval_pair(p, [1.0])
+            as_point([1.0], p.dimension)
 
     def test_nonstationary_minimizer_rejected(self):
         with pytest.raises(ValueError, match="not stationary"):
