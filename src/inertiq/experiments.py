@@ -447,9 +447,19 @@ def read_config(path: str | Path) -> ExperimentConfig:
     for section, keys in unknown.items():
         if keys:
             raise ValueError(f"{path}: unknown key {min(keys)!r} in [{section}]")
+
+    def value(section: str, key: str, parse, default):
+        raw = parser[section].get(key)
+        if raw is None:
+            return default
+        try:
+            return parse(raw)
+        except ValueError as exc:
+            raise ValueError(f"{path}: bad {key} in [{section}]: {exc}") from exc
+
     exp = parser["experiment"]
     problem = exp.get("problem", "example51")
-    seeds = parse_numbers(exp.get("seeds", "0"), int)
+    seeds = value("experiment", "seeds", lambda raw: parse_numbers(raw, int), (0,))
     if not seeds:
         raise ValueError(f"{path}: seeds must not be empty")
     emit = frozenset(exp.get("emit", "csv summary checks").split())
@@ -464,19 +474,22 @@ def read_config(path: str | Path) -> ExperimentConfig:
         algo = sec.get("algo", "iaa").lower()
         if algo not in ALGO_NAMES:
             raise ValueError(f"{path}: unknown algo {algo!r} in [{section}]")
-        pert = parse_perturbation(sec.get("perturb", "none"), seed=seeds[0])
+        pert = value(section, "perturb",
+                     lambda raw: parse_perturbation(raw, seed=seeds[0]),
+                     PerturbationSpec.none())
         config = AlgorithmConfig(
             variant=ALGO_NAMES[algo],
-            alpha=sec.getfloat("alpha", 0.0),
-            beta=sec.getfloat("beta", 0.0),
-            theta=sec.getfloat("theta", 0.0),
-            s=sec.getfloat("step", fallback=None),
+            alpha=value(section, "alpha", float, 0.0),
+            beta=value(section, "beta", float, 0.0),
+            theta=value(section, "theta", float, 0.0),
+            s=value(section, "step", float, None),
             perturb=pert,
         )
-        tol_raw = sec.get("tol", "")
-        tol = float(tol_raw) if tol_raw and tol_raw.lower() != "none" else None
-        stop = StoppingRule(tol=tol, max_iter=sec.getint("max_iter", 100_000))
-        x0 = parse_numbers(sec.get("x0", "0"))
+        tol = value(section, "tol",
+                    lambda raw: float(raw) if raw and raw.lower() != "none" else None,
+                    None)
+        stop = StoppingRule(tol=tol, max_iter=value(section, "max_iter", int, 100_000))
+        x0 = value(section, "x0", parse_numbers, (0.0,))
         runs.append(RunSetup(label, config, x0, stop))
     return ExperimentConfig(
         problem=problem, runs=tuple(runs), seeds=seeds, outputs=outputs, emit=emit

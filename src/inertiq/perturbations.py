@@ -10,6 +10,13 @@ vector regardless of call order, which keeps perturbed optimizer runs and
 ODE integrations bitwise reproducible even when consumers sample out of
 order or in parallel.
 
+Because a draw is a pure function, any run of indices can be hashed in one
+array pass.  Normals of width n <= 8 are computed for a block of 64
+consecutive indices at once and kept read-only in an LRU cache of 256
+blocks (at most 256 * 64 * 8 float64 = 1 MiB); each draw is a fresh copy
+of its block's row, so the cache changes only the cost, never a value.
+Wider draws hash their one index in the same pass, uncached.
+
 Models
 ------
 ``none``            zero perturbation.
@@ -21,6 +28,8 @@ Models
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -31,44 +40,45 @@ from .problems import Vector
 MODELS = ("none", "power_decay", "gaussian_decay")
 
 _M64 = 0xFFFFFFFFFFFFFFFF
-_GAMMA = 0x9E3779B97F4A7C15
-_MUL1 = np.uint64(0xBF58476D1CE4E5B9)
-_MUL2 = np.uint64(0x94D049BB133111EB)
 # uint64 scalar operands dispatch faster on uint64 arrays than Python ints
-_S11, _S27, _S30, _S31, _ONE = (np.uint64(v) for v in (11, 27, 30, 31, 1))
+_GAMMA, _MUL1, _MUL2, _S11, _S27, _S30, _S31, _ONE = (np.uint64(v) for v in (
+    0x9E3779B97F4A7C15, 0xBF58476D1CE4E5B9, 0x94D049BB133111EB, 11, 27, 30, 31, 1))
 _LANE_1 = 1 << 32  # counter offset of the second Box-Muller lane
+_BLOCK = 64  # Gaussian draws are computed 64 consecutive indices at a time
+_MAX_CACHED_N = 8  # widest draw served from a cached block
 
 
-def _splitmix64_int(z: int) -> int:
-    """Scalar splitmix64 on Python ints (numpy scalars warn on overflow)."""
-    z = (z + _GAMMA) & _M64
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _M64
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _M64
-    return z ^ (z >> 31)
-
-
-def _key(seed: int, index: int) -> int:
-    s = seed & _M64
-    k = index & _M64
-    return _splitmix64_int(_splitmix64_int(s) ^ _splitmix64_int(k))
-
-
-def _uniforms(seed: int, index: int, lanes: tuple[int, ...], n: int) -> np.ndarray:
-    """Uniforms in (0, 1] of shape (len(lanes), n).
-
-    Entry (i, j) is splitmix64 of the counter key(seed, index) + lanes[i] + j
-    (mod 2^64), top 53 bits mapped to (0, 1].  The splitmix increment is
-    added to the Python-int key, uint64 arrays wrap modulo 2^64 without
-    masks, and every lane is hashed in one in-place pass.
-    """
-    base = _key(seed, index) + _GAMMA
-    z = np.array([(base + lane) & _M64 for lane in lanes], dtype=np.uint64)
-    z = z[:, None] + np.arange(n, dtype=np.uint64)
+def _splitmix64(z: np.ndarray) -> np.ndarray:
+    """splitmix64 (increment, then finaliser) in place on a uint64 array;
+    uint64 arrays wrap modulo 2^64 without masks."""
+    z += _GAMMA
     z ^= z >> _S30
     z *= _MUL1
     z ^= z >> _S27
     z *= _MUL2
     z ^= z >> _S31
+    return z
+
+
+def _uniforms(seed: int, first: int, m: int, lanes: tuple[int, ...], n: int) -> np.ndarray:
+    """Uniforms in (0, 1] of shape (len(lanes), m, n) for the m consecutive
+    indices first, first + 1, ... (mod 2^64).
+
+    key(seed, index) = splitmix64(splitmix64(seed) ^ splitmix64(index)), and
+    entry (i, r, j) is splitmix64 of the counter key(seed, first + r) +
+    lanes[i] + j (mod 2^64), top 53 bits mapped to (0, 1].  Every lane of
+    every index is hashed in one in-place pass.
+    """
+    # one pass mixes the seed (entry 0) and the indices (entries 1..m)
+    mix = np.arange(m + 1, dtype=np.uint64)
+    mix += np.uint64((first - 1) & _M64)
+    mix[0] = seed & _M64
+    _splitmix64(mix)
+    keys = _splitmix64(mix[1:] ^ mix[0])
+    offsets = np.array([lane & _M64 for lane in lanes], dtype=np.uint64)
+    z = keys + offsets[:, None]
+    z = z[:, :, None] + np.arange(n, dtype=np.uint64)
+    _splitmix64(z)
     # +1 keeps log() finite; the shift, the +1 and both float steps are exact.
     z >>= _S11
     z += _ONE
@@ -77,10 +87,30 @@ def _uniforms(seed: int, index: int, lanes: tuple[int, ...], n: int) -> np.ndarr
     return u
 
 
+def _normals(seed: int, first: int, m: int, n: int) -> np.ndarray:
+    """Box-Muller normals of shape (m, n) for the m indices from ``first``."""
+    u1, u2 = _uniforms(seed, first, m, (0, _LANE_1), n)
+    np.log(u1, out=u1)
+    u1 *= -2.0
+    np.sqrt(u1, out=u1)
+    u2 *= 2.0 * np.pi
+    np.cos(u2, out=u2)
+    return u1 * u2
+
+
+@functools.lru_cache(maxsize=256)
+def _normal_block(seed: int, block: int, n: int) -> np.ndarray:
+    """Read-only normals of the 64 indices block * 64 ... block * 64 + 63;
+    at most 256 * 64 * 8 float64 = 1 MiB of cached draws."""
+    out = _normals(seed, block * _BLOCK, _BLOCK, n)
+    out.flags.writeable = False
+    return out
+
+
 def counter_uniform(seed: int, index: int, n: int, lane: int = 0) -> Vector:
     """n uniforms in (0, 1]; coordinate j hashes the counter
     key(seed, index) + lane + j (mod 2^64)."""
-    return _uniforms(seed, index, (lane,), n)[0]
+    return _uniforms(seed, index, 1, (lane,), n)[0, 0]
 
 
 def counter_standard_normal(seed: int, index: int, n: int) -> Vector:
@@ -89,17 +119,14 @@ def counter_standard_normal(seed: int, index: int, n: int) -> Vector:
     Coordinate j takes u1 from counter key + j and u2 from counter
     key + 2^32 + j, i.e. ``counter_uniform`` at lanes 0 and 2^32.  The
     transform sqrt(-2 log u1) cos(2 pi u2) is fixed so golden CSVs stay
-    stable across platforms and versions.
+    stable across platforms and versions.  For n <= 8 the draw is a fresh
+    copy of one row of its cached 64-index block.
     """
-    u = _uniforms(seed, index, (0, _LANE_1), n)
-    u1 = u[0]
-    u2 = u[1]
-    np.log(u1, out=u1)
-    u1 *= -2.0
-    np.sqrt(u1, out=u1)
-    u2 *= 2.0 * np.pi
-    np.cos(u2, out=u2)
-    return u1 * u2
+    if n > _MAX_CACHED_N:
+        return _normals(seed, index, 1, n)[0]
+    index &= _M64
+    block = _normal_block(seed & _M64, index // _BLOCK, n)
+    return block[index % _BLOCK].copy()
 
 
 @dataclass(frozen=True)
@@ -176,10 +203,7 @@ class PerturbationSpec:
 
 
 def _unit_direction(spec: PerturbationSpec, index: int, dim: int) -> Vector:
-    if spec.direction == "e1":
-        e = np.zeros(dim)
-        e[0] = 1.0
-        return e
+    """The "random" (counter ``index``) or explicit unit direction."""
     if spec.direction == "random":
         u = counter_standard_normal(spec.seed, index, dim)
         nrm = float(np.linalg.norm(u))
@@ -202,9 +226,20 @@ def _draw(spec: PerturbationSpec, at: float, index: int, dim: int) -> Vector:
     a standard normal."""
     if spec.model == "none":
         return np.zeros(dim)
-    if spec.model == "power_decay":
-        return (spec.c0 / float(at) ** spec.p) * _unit_direction(spec, index, dim)
-    return spec.sigma_at(at) * counter_standard_normal(spec.seed, index, dim)
+    if spec.model == "gaussian_decay":
+        return spec.sigma_at(at) * counter_standard_normal(spec.seed, index, dim)
+    t_p = float(at) ** spec.p
+    magnitude = spec.c0 / t_p if t_p else math.inf
+    if not math.isfinite(magnitude):
+        raise ValueError(
+            f"power perturbation c0/t^p = {spec.c0:g}/{t_p:g} = {magnitude:g} is not finite "
+            f"at t = {at:g}, p = {spec.p:g}"
+        )
+    if spec.direction == "e1":  # c0/t^p * e1, built in one array
+        eps = np.zeros(dim)
+        eps[0] = magnitude
+        return eps
+    return magnitude * _unit_direction(spec, index, dim)
 
 
 def sample_discrete(spec: PerturbationSpec, k: int, dim: int) -> Vector:

@@ -1,6 +1,7 @@
 """Presets, experiment execution, CSV/summary/checks emission, CLI surface."""
 
 import hashlib
+import re
 
 import numpy as np
 import pytest
@@ -302,6 +303,27 @@ perturb = gauss:sigma0=0.001,decay=0.01
         with pytest.raises(ValueError, match=message):
             read_config(path)
 
+    @pytest.mark.parametrize("section, key, raw", [
+        ("experiment", "seeds", "1 x"),
+        ("run r", "alpha", "0.3x"),
+        ("run r", "beta", "-"),
+        ("run r", "theta", "1e"),
+        ("run r", "step", "1/8"),
+        ("run r", "tol", "1e-10x"),
+        ("run r", "max_iter", "1e3"),
+        ("run r", "x0", "3;3"),
+        ("run r", "perturb", "power:c0=1%,p=1"),
+    ])
+    def test_bad_value_names_file_section_and_key(self, tmp_path, section, key, raw):
+        path = tmp_path / "exp.ini"
+        sections = {"experiment": {}, "run r": {"algo": "hbm", "beta": "0.04"}}
+        sections[section][key] = raw
+        path.write_text("".join(f"[{name}]\n" + "".join(f"{k} = {v}\n" for k, v in body.items())
+                                for name, body in sections.items()))
+        prefix = re.escape(f"{path}: bad {key} in [{section}]: ")
+        with pytest.raises(ValueError, match=f"^{prefix}"):
+            read_config(path)
+
     def test_default_keys_may_serve_either_section(self, tmp_path):
         path = tmp_path / "exp.ini"
         path.write_text("[DEFAULT]\nproblem = example52\nx0 = 3,3\n[experiment]\n"
@@ -467,6 +489,17 @@ class TestCli:
             assert main(argv) == 2, argv
             assert capsys.readouterr().err.startswith("usage error: "), argv
         assert not nodir.exists()
+
+    @pytest.mark.parametrize("t0", ["1e-200", "1e-160"])
+    def test_ode_power_forcing_not_finite_at_t0(self, capsys, t0):
+        # (1e-200)^2 underflows to 0; 1/(1e-160)^2 overflows to inf
+        code = main(["ode", "--problem", "example51", "--alpha", "1", "--beta", "0.1",
+                     "--x0", "1", "--t0", t0, "--t-end", "1", "--dt", "0.25",
+                     "--perturb", "power:c0=1,p=2", "--quiet"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: power perturbation c0/t^p = 1/"), err
+        assert f"= inf is not finite at t = {float(t0):g}, p = 2" in err
 
     @pytest.mark.parametrize("argv", [
         ["check", "--out-dir", "out"],

@@ -7,9 +7,16 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from inertiq import PerturbationSpec, parse_perturbation, sample_continuous, sample_discrete
+from inertiq import (
+    PerturbationSpec,
+    parse_perturbation,
+    perturbations,
+    sample_continuous,
+    sample_discrete,
+)
 from inertiq.errors import DimensionMismatch, NonPositiveTime
 from inertiq.perturbations import (
+    _normal_block,
     counter_standard_normal,
     counter_uniform,
     format_perturbation,
@@ -243,6 +250,19 @@ class TestSinglePassMatchesReference:
     def test_default_lane(self):
         np.testing.assert_array_equal(counter_uniform(3, 4, 5), counter_uniform(3, 4, 5, 0))
 
+    # the first and last rows of 64-index blocks, the 2^64 wrap and negative
+    # indices; n = 9 is the first width that bypasses the block cache
+    @pytest.mark.parametrize("n", range(1, 10))
+    def test_block_edges(self, n):
+        indices = [63, 64, 127, 128, 2**64 - 1, -1, -64, -65]
+        seeds = [0, 7, -1, 2**64 - 1, 2**70 + 5]
+        expected = {(s, i): _ref_counter_standard_normal(s, i, n).tobytes()
+                    for s in seeds for i in indices}
+        _normal_block.cache_clear()
+        for _ in range(2):  # cold blocks, then warm ones
+            for (seed, index), ref in expected.items():
+                assert counter_standard_normal(seed, index, n).tobytes() == ref, (seed, index)
+
 
 class TestDrawProperties:
     """Counter-based draws are pure values: independent of call order, each
@@ -278,6 +298,15 @@ class TestDrawProperties:
         draws[0][:] = 0.0
         np.testing.assert_array_equal(counter_standard_normal(4, 9, 3), before)
 
+    @pytest.mark.parametrize("n", [2, 9])
+    def test_mutated_draw_leaves_next_draw_unchanged(self, n):
+        before = counter_standard_normal(5, 70, n).copy()
+        for index in (70, 64, 71):  # the draw itself and rows of its block
+            counter_standard_normal(5, index, n)[:] = np.nan
+        after = counter_standard_normal(5, 70, n)
+        assert after.tobytes() == before.tobytes()
+        assert after.tobytes() == _ref_counter_standard_normal(5, 70, n).tobytes()
+
     @pytest.mark.parametrize("seed, index", [
         (2**64 - 1, 2**64 - 1), (-1, -1), (2**65 + 3, 0), (0, -(2**64) - 1),
     ])
@@ -287,3 +316,57 @@ class TestDrawProperties:
             counter_standard_normal(seed, index, 5)
             counter_uniform(seed, index, 5, lane=2**64 - 1)
             sample_discrete(PerturbationSpec.gaussian(0.1, 0.0, seed=seed), 1, 5)
+
+
+class TestBlockCache:
+    """Draws of width n <= 8 come from read-only 64-index blocks in a cache of
+    at most 256 blocks (1 MiB of float64); wider draws bypass it."""
+
+    def test_bound(self):
+        assert _normal_block.cache_info().maxsize == 256
+
+    def test_one_block_serves_64_indices(self):
+        _normal_block.cache_clear()
+        for index in range(128, 192):
+            counter_standard_normal(11, index, 8)
+        info = _normal_block.cache_info()
+        assert (info.currsize, info.misses, info.hits) == (1, 1, 63)
+        block = _normal_block(11, 2, 8)
+        assert block.shape == (64, 8) and not block.flags.writeable
+        counter_standard_normal(11, 192, 8)
+        assert _normal_block.cache_info().currsize == 2
+
+    @pytest.mark.parametrize("n", [9, 64, 1000])
+    def test_wide_draws_bypass_cache(self, n):
+        before = _normal_block.cache_info()
+        for index in range(3):
+            counter_standard_normal(12, index, n)
+        sample_discrete(PerturbationSpec.gaussian(0.1, 0.0, seed=12), 5, n)
+        assert _normal_block.cache_info() == before
+
+
+class TestModuleAttributeContract:
+    """Every Gaussian draw, and every random power direction, calls
+    counter_standard_normal through the perturbations module at call time;
+    the benchmark's traced run (perfbench/spans.py) replaces that name."""
+
+    @pytest.mark.parametrize("spec", [
+        PerturbationSpec.gaussian(0.1, 0.01, seed=3),
+        PerturbationSpec.power(0.1, 1.0, direction="random", seed=3),
+    ], ids=["gauss", "power-random"])
+    @pytest.mark.parametrize("dim", [2, 9])
+    def test_one_call_per_draw(self, monkeypatch, spec, dim):
+        calls = []
+        original = perturbations.counter_standard_normal
+
+        def counting(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(perturbations, "counter_standard_normal", counting)
+        for k in range(1, 6):
+            sample_discrete(spec, k, dim)
+        for step in range(4):
+            sample_continuous(spec, 1.0 + step, dim, step=step)
+        assert calls == ([(3, k, dim) for k in range(1, 6)]
+                         + [(3, step + 1, dim) for step in range(4)])
