@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import sys
+import warnings
 from pathlib import Path
 
 
@@ -203,7 +204,9 @@ def cmd_opt(args) -> int:
     stop = optimizers.StoppingRule(
         tol=None if args.no_tol else args.tol, max_iter=args.max_iter
     )
-    result = optimizers.run(problem, cfg, args.x0, stop=stop)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        result = optimizers.run(problem, cfg, args.x0, stop=stop)
     if args.out:
         setup = experiments.RunSetup(args.algo, cfg, args.x0, stop)
         experiments.write_run_csv(Path(args.out), result, setup)
@@ -214,8 +217,8 @@ def cmd_opt(args) -> int:
             f"value_error={final.value_error:.6e} dist={final.dist:.6e} "
             f"grad_evals={result.n_grad_evals}"
         )
-        for msg in result.box_warnings:
-            print(f"warning: {msg}")
+        for w in caught:
+            print(f"warning: {w.message}")
     return EXIT_OK
 
 

@@ -41,7 +41,6 @@ from .perturbations import (
 )
 from .problems import Problem, builtin_problem
 
-EMIT_KINDS = frozenset({"csv", "summary", "checks"})
 PRESETS = ("fig12", "fig34", "fig45")
 
 
@@ -51,7 +50,6 @@ class RunSetup:
     config: AlgorithmConfig
     x0: tuple[float, ...]
     stop: StoppingRule
-    x1: tuple[float, ...] | None = None
 
 
 @dataclass(frozen=True)
@@ -59,15 +57,11 @@ class ExperimentConfig:
     problem: str
     runs: tuple[RunSetup, ...]
     seeds: tuple[int, ...] = (0,)
-    outputs: str | None = None
-    emit: frozenset = EMIT_KINDS
 
     def __post_init__(self):
         labels = [r.label for r in self.runs]
         if len(labels) != len(set(labels)):
             raise ValueError(f"run labels must be unique, got {labels}")
-        if not set(self.emit) <= EMIT_KINDS:
-            raise ValueError(f"emit must be a subset of {sorted(EMIT_KINDS)}")
         if not self.seeds:
             raise ValueError("seeds must not be empty")
 
@@ -116,17 +110,29 @@ class ComparisonSummary:
 # Presets
 # ---------------------------------------------------------------------------
 
-def _sine_well_runs(stop: StoppingRule) -> tuple[RunSetup, ...]:
-    x0 = (3.0,)
-    iaa = AlgorithmConfig(variant="IAA", alpha=0.3, beta=0.2, s=1.0 / 6.0)
-    base = dict(alpha=0.7, beta=1.0 / 24.0)
-    return (
-        RunSetup("IAA", iaa, x0, stop),
-        RunSetup("HBM", AlgorithmConfig(variant="HBM", **base), x0, stop),
-        RunSetup("NAG", AlgorithmConfig(variant="NAG", **base), x0, stop),
-        RunSetup("HBM-H", AlgorithmConfig(variant="HBM_H", theta=0.05, **base), x0, stop),
-        RunSetup("NAG-H", AlgorithmConfig(variant="NAG_H", theta=0.05, **base), x0, stop),
+def _five_runs(
+    iaa: AlgorithmConfig, base: dict, x0: tuple[float, ...], stop: StoppingRule, suffix: str = ""
+) -> tuple[RunSetup, ...]:
+    """The paper's five runs in ``METHODS`` order, each labelled by its
+    variant with ``-`` for ``_`` plus ``suffix``: IAA as given, then each
+    baseline on the ``base`` coefficients, with theta = 0.05 where it applies
+    the Hessian correction."""
+    return tuple(
+        RunSetup(
+            variant.replace("_", "-") + suffix,
+            iaa if variant == "IAA" else AlgorithmConfig(
+                variant, theta=0.05 if method.hessian_correction else 0.0, **base
+            ),
+            x0,
+            stop,
+        )
+        for variant, method in METHODS.items()
     )
+
+
+def _sine_well_runs(stop: StoppingRule) -> tuple[RunSetup, ...]:
+    iaa = AlgorithmConfig(variant="IAA", alpha=0.3, beta=0.2, s=1.0 / 6.0)
+    return _five_runs(iaa, dict(alpha=0.7, beta=1.0 / 24.0), (3.0,), stop)
 
 
 def preset(name: str) -> ExperimentConfig:
@@ -145,29 +151,11 @@ def preset(name: str) -> ExperimentConfig:
         )
     if name == "fig45":
         noise = PerturbationSpec.gaussian(sigma0=0.001, decay=0.01)
-        stop = StoppingRule(tol=None, max_iter=200)
-        x0 = (3.0, 3.0)
         iaa = AlgorithmConfig(
             variant="IAA", alpha=0.4, beta=0.15, s=0.125, perturb=noise
         )
         base = dict(alpha=0.7, beta=0.04, perturb=noise)
-        runs = (
-            RunSetup("IAA-Per", iaa, x0, stop),
-            RunSetup("HBM-Per", AlgorithmConfig(variant="HBM", **base), x0, stop),
-            RunSetup("NAG-Per", AlgorithmConfig(variant="NAG", **base), x0, stop),
-            RunSetup(
-                "HBM-H-Per",
-                AlgorithmConfig(variant="HBM_H", theta=0.05, **base),
-                x0,
-                stop,
-            ),
-            RunSetup(
-                "NAG-H-Per",
-                AlgorithmConfig(variant="NAG_H", theta=0.05, **base),
-                x0,
-                stop,
-            ),
-        )
+        runs = _five_runs(iaa, base, (3.0, 3.0), StoppingRule(tol=None, max_iter=200), "-Per")
         return ExperimentConfig(
             problem="example52", runs=runs, seeds=tuple(range(1, 11))
         )
@@ -280,13 +268,11 @@ def execute(
 
     Deterministic runs (perturbation independent of the seed) execute once;
     stochastic runs execute once per seed with the seed threaded into the
-    perturbation.  Writes one CSV per executed run plus summary and checks
-    files when an output directory is configured.
+    perturbation.  Writes one CSV per executed run plus summary.txt and
+    checks.txt exactly when ``out_dir`` is given.
     """
     problem = builtin_problem(cfg.problem)
-    out = Path(out_dir) if out_dir is not None else (
-        Path(cfg.outputs) if cfg.outputs else None
-    )
+    out = Path(out_dir) if out_dir is not None else None
     if out is not None:
         out.mkdir(parents=True, exist_ok=True)
 
@@ -301,7 +287,7 @@ def execute(
                 run_cfg = replace(run_cfg, perturb=run_cfg.perturb.with_seed(seed))
             with warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter("always")
-                result = run(problem, run_cfg, setup.x0, setup.x1, setup.stop)
+                result = run(problem, run_cfg, setup.x0, stop=setup.stop)
             for w in caught:
                 notes.append(f"{setup.label}: {w.message}")
             series = [(r.k, r.value_error) for r in result.records]
@@ -334,7 +320,7 @@ def execute(
             run_setup = replace(setup, config=run_cfg)
             if seed is None or seed == cfg.seeds[0]:
                 checks.extend(_t41_checks(problem, run_setup, result))
-            if out is not None and "csv" in cfg.emit:
+            if out is not None:
                 suffix = "" if seed is None else f"_seed{seed}"
                 write_run_csv(out / f"{setup.label}{suffix}.csv", result, run_setup)
 
@@ -345,9 +331,8 @@ def execute(
         checks=tuple(checks),
         warnings=tuple(notes),
     )
-    if out is not None and "summary" in cfg.emit:
+    if out is not None:
         (out / "summary.txt").write_text(render_summary(summary), newline="\n")
-    if out is not None and "checks" in cfg.emit:
         lines = [str(c) for c in checks]
         (out / "checks.txt").write_text(
             "\n".join(lines) + ("\n" if lines else ""), newline="\n"
@@ -414,7 +399,6 @@ def read_config(path: str | Path) -> ExperimentConfig:
         [experiment]
         problem = example51
         seeds = 1 2 3
-        emit = csv summary checks
 
         [run IAA]
         algo = iaa
@@ -434,7 +418,7 @@ def read_config(path: str | Path) -> ExperimentConfig:
             raise ValueError(f"{path}: {exc}") from exc
     if "experiment" not in parser:
         raise ValueError(f"{path}: missing [experiment] section")
-    experiment_keys = frozenset("problem seeds emit outputs".split())
+    experiment_keys = frozenset("problem seeds".split())
     run_keys = frozenset("algo alpha beta theta step x0 tol max_iter perturb".split())
     # configparser copies [DEFAULT] keys into every section: check them once.
     defaults = set(parser.defaults())
@@ -457,13 +441,10 @@ def read_config(path: str | Path) -> ExperimentConfig:
         except ValueError as exc:
             raise ValueError(f"{path}: bad {key} in [{section}]: {exc}") from exc
 
-    exp = parser["experiment"]
-    problem = exp.get("problem", "example51")
+    problem = parser["experiment"].get("problem", "example51")
     seeds = value("experiment", "seeds", lambda raw: parse_numbers(raw, int), (0,))
     if not seeds:
         raise ValueError(f"{path}: seeds must not be empty")
-    emit = frozenset(exp.get("emit", "csv summary checks").split())
-    outputs = exp.get("outputs", None)
 
     runs: list[RunSetup] = []
     for section in parser.sections():
@@ -477,20 +458,17 @@ def read_config(path: str | Path) -> ExperimentConfig:
         pert = value(section, "perturb",
                      lambda raw: parse_perturbation(raw, seed=seeds[0]),
                      PerturbationSpec.none())
-        config = AlgorithmConfig(
-            variant=ALGO_NAMES[algo],
-            alpha=value(section, "alpha", float, 0.0),
-            beta=value(section, "beta", float, 0.0),
-            theta=value(section, "theta", float, 0.0),
-            s=value(section, "step", float, None),
-            perturb=pert,
-        )
+        coeffs = {key: value(section, key, float, 0.0) for key in ("alpha", "beta", "theta")}
+        step = value(section, "step", float, None)
         tol = value(section, "tol",
                     lambda raw: float(raw) if raw and raw.lower() != "none" else None,
                     None)
-        stop = StoppingRule(tol=tol, max_iter=value(section, "max_iter", int, 100_000))
+        max_iter = value(section, "max_iter", int, 100_000)
         x0 = value(section, "x0", parse_numbers, (0.0,))
+        try:
+            config = AlgorithmConfig(ALGO_NAMES[algo], **coeffs, s=step, perturb=pert)
+            stop = StoppingRule(tol=tol, max_iter=max_iter)
+        except ValueError as exc:
+            raise ValueError(f"{path}: bad values in [{section}]: {exc}") from exc
         runs.append(RunSetup(label, config, x0, stop))
-    return ExperimentConfig(
-        problem=problem, runs=tuple(runs), seeds=seeds, outputs=outputs, emit=emit
-    )
+    return ExperimentConfig(problem=problem, runs=tuple(runs), seeds=seeds)

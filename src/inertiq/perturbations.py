@@ -157,7 +157,12 @@ class PerturbationSpec:
         if self.model == "gaussian_decay":
             if self.sigma0 < 0 or self.decay < 0:
                 raise ValueError("sigma0 and decay must be nonnegative")
-        if not isinstance(self.direction, str):
+        if isinstance(self.direction, str):
+            if self.direction not in ("e1", "random"):
+                raise ValueError(
+                    f"unknown perturbation direction {self.direction!r}; expected e1 or random"
+                )
+        else:
             vec = tuple(float(v) for v in self.direction)
             if not any(vec):
                 raise ValueError("explicit direction must be nonzero")
@@ -228,7 +233,10 @@ def _draw(spec: PerturbationSpec, at: float, index: int, dim: int) -> Vector:
         return np.zeros(dim)
     if spec.model == "gaussian_decay":
         return spec.sigma_at(at) * counter_standard_normal(spec.seed, index, dim)
-    t_p = float(at) ** spec.p
+    try:
+        t_p = float(at) ** spec.p
+    except OverflowError:  # t^p beyond the float range: c0/t^p rounds to 0
+        t_p = math.inf
     magnitude = spec.c0 / t_p if t_p else math.inf
     if not math.isfinite(magnitude):
         raise ValueError(
@@ -269,8 +277,11 @@ def sample_continuous(
     return _draw(spec, t, 0 if step is None else step + 1, dim)
 
 
+_GRAMMAR_KEYS = {"power": ("c0", "p", "dir"), "gauss": ("sigma0", "decay")}
+
+
 def parse_perturbation(text: str, seed: int = 0) -> PerturbationSpec:
-    """Parse the CLI mini-grammar.
+    """Parse the CLI mini-grammar; a key the model does not read is an error.
 
     ``none`` | ``power:c0=<r>,p=<r>[,dir=e1|random]`` | ``gauss:sigma0=<r>,decay=<r>``
     """
@@ -278,6 +289,8 @@ def parse_perturbation(text: str, seed: int = 0) -> PerturbationSpec:
     if text == "none" or text == "":
         return PerturbationSpec.none()
     head, _, body = text.partition(":")
+    if head not in _GRAMMAR_KEYS:
+        raise ValueError(f"unknown perturbation spec {text!r}")
     kv: dict[str, str] = {}
     if body:
         for item in body.split(","):
@@ -285,6 +298,9 @@ def parse_perturbation(text: str, seed: int = 0) -> PerturbationSpec:
             if not val:
                 raise ValueError(f"bad perturbation parameter {item!r}")
             kv[key.strip()] = val.strip()
+    unread = set(kv) - set(_GRAMMAR_KEYS[head])
+    if unread:
+        raise ValueError(f"unknown {head} perturbation parameter {min(unread)!r}")
     if head == "power":
         return PerturbationSpec.power(
             c0=float(kv.get("c0", "0")),
@@ -292,13 +308,11 @@ def parse_perturbation(text: str, seed: int = 0) -> PerturbationSpec:
             direction=kv.get("dir", "e1"),
             seed=seed,
         )
-    if head == "gauss":
-        return PerturbationSpec.gaussian(
-            sigma0=float(kv.get("sigma0", "0")),
-            decay=float(kv.get("decay", "0")),
-            seed=seed,
-        )
-    raise ValueError(f"unknown perturbation spec {text!r}")
+    return PerturbationSpec.gaussian(
+        sigma0=float(kv.get("sigma0", "0")),
+        decay=float(kv.get("decay", "0")),
+        seed=seed,
+    )
 
 
 def format_perturbation(spec: PerturbationSpec) -> str:

@@ -2,6 +2,8 @@
 
 import hashlib
 import re
+import textwrap
+import warnings
 
 import numpy as np
 import pytest
@@ -22,8 +24,37 @@ from inertiq.cli import _load_series, main
 from inertiq.errors import UnknownPreset
 from inertiq.experiments import render_summary, write_records_csv
 
+_NOISE = PerturbationSpec.gaussian(sigma0=0.001, decay=0.01)
+_NONE = PerturbationSpec.none()
+_SINE_WELL_LINEUP = [
+    ("IAA", "IAA", 0.3, 0.2, 0.0, 0.16666666666666666, _NONE),
+    ("HBM", "HBM", 0.7, 0.041666666666666664, 0.0, None, _NONE),
+    ("NAG", "NAG", 0.7, 0.041666666666666664, 0.0, None, _NONE),
+    ("HBM-H", "HBM_H", 0.7, 0.041666666666666664, 0.05, None, _NONE),
+    ("NAG-H", "NAG_H", 0.7, 0.041666666666666664, 0.05, None, _NONE),
+]
+# (label, variant, alpha, beta, theta, s, perturb) of every preset run, as
+# the presets spelled them out one by one.
+LINEUPS = {
+    "fig12": _SINE_WELL_LINEUP,
+    "fig34": _SINE_WELL_LINEUP,
+    "fig45": [
+        ("IAA-Per", "IAA", 0.4, 0.15, 0.0, 0.125, _NOISE),
+        ("HBM-Per", "HBM", 0.7, 0.04, 0.0, None, _NOISE),
+        ("NAG-Per", "NAG", 0.7, 0.04, 0.0, None, _NOISE),
+        ("HBM-H-Per", "HBM_H", 0.7, 0.04, 0.05, None, _NOISE),
+        ("NAG-H-Per", "NAG_H", 0.7, 0.04, 0.05, None, _NOISE),
+    ],
+}
+
 
 class TestPresets:
+    @pytest.mark.parametrize("name", sorted(LINEUPS))
+    def test_lineup_pinned(self, name):
+        got = [(r.label, c.variant, c.alpha, c.beta, c.theta, c.s, c.perturb)
+               for r in preset(name).runs for c in [r.config]]
+        assert got == LINEUPS[name]
+
     def test_fig12_structure(self):
         cfg = preset("fig12")
         assert cfg.problem == "example51"
@@ -198,7 +229,6 @@ class TestConfigFile:
 [experiment]
 problem = example51
 seeds = 0
-emit = csv summary checks
 
 [run iaa-demo]
 algo = iaa
@@ -274,8 +304,10 @@ perturb = gauss:sigma0=0.001,decay=0.01
         ("[DEFAULT]\nalpah = 0.3\n[experiment]\n", r"unknown key 'alpah' in \[DEFAULT\]"),
         ("[experiment]\n[runs r]\nalgo = hbm\n", r"unknown section \[runs r\]"),
         ("[experiment]\n[plot]\n", r"unknown section \[plot\]"),
+        ("[experiment]\nemit = csv\n", r"unknown key 'emit' in \[experiment\]"),
+        ("[experiment]\noutputs = out\n", r"unknown key 'outputs' in \[experiment\]"),
     ], ids=["run", "experiment", "run-key-in-experiment", "experiment-key-in-run", "default",
-            "run-prefix", "other-section"])
+            "run-prefix", "other-section", "emit", "outputs"])
     def test_unknown_key_or_section_rejected(self, tmp_path, text, message):
         path = tmp_path / "exp.ini"
         path.write_text(text)
@@ -323,6 +355,27 @@ perturb = gauss:sigma0=0.001,decay=0.01
         prefix = re.escape(f"{path}: bad {key} in [{section}]: ")
         with pytest.raises(ValueError, match=f"^{prefix}"):
             read_config(path)
+
+    @pytest.mark.parametrize("body, message", [
+        ("algo = hbm\nbeta = -1\n", "alpha, beta, theta must be nonnegative"),
+        ("algo = iaa\n", "IAA needs a positive step size s"),
+        ("algo = hbm\nbeta = 0.04\nmax_iter = 0\n", "max_iter must be a positive integer"),
+        ("algo = hbm\nbeta = 0.04\ntol = -1\n", r"tol must be positive \(or None\)"),
+    ], ids=["beta", "step", "max_iter", "tol"])
+    def test_invalid_run_names_file_and_section(self, tmp_path, body, message):
+        path = tmp_path / "exp.ini"
+        path.write_text(f"[experiment]\n[run r]\n{body}")
+        prefix = re.escape(f"{path}: bad values in [run r]: ")
+        with pytest.raises(ValueError, match=f"^{prefix}{message}$"):
+            read_config(path)
+
+    def test_docstring_example_reads(self, tmp_path):
+        path = tmp_path / "exp.ini"
+        path.write_text(textwrap.dedent(read_config.__doc__.split("::", 1)[1]))
+        cfg = read_config(path)
+        assert cfg.problem == "example51"
+        assert cfg.seeds == (1, 2, 3)
+        assert [r.label for r in cfg.runs] == ["IAA"]
 
     def test_default_keys_may_serve_either_section(self, tmp_path):
         path = tmp_path / "exp.ini"
@@ -489,6 +542,43 @@ class TestCli:
             assert main(argv) == 2, argv
             assert capsys.readouterr().err.startswith("usage error: "), argv
         assert not nodir.exists()
+
+    def test_opt_power_forcing_overflowing_t_p(self, capsys):
+        # 7^400 overflows the float range at k = 7; the draw is then zero
+        code = main(["opt", "--problem", "example51", "--algo", "iaa", "--alpha", "0.3",
+                     "--beta", "0.2", "--step", "0.16666666666666666", "--x0", "3",
+                     "--max-iter", "20", "--no-tol", "--perturb", "power:c0=1,p=400"])
+        assert code == 0
+        assert capsys.readouterr().out.startswith("iaa: k=20 trigger=max_iter ")
+
+    @pytest.mark.parametrize("perturb, name", [
+        ("power:c0=1,pp=3", "'pp'"),
+        ("gauss:sigma0=1,decay=0,dir=random", "'dir'"),
+        ("power:c0=1,p=1,dir=foo", "'foo'"),
+    ])
+    def test_opt_rejects_unread_perturbation_before_running(self, capsys, perturb, name):
+        # beta = 0.5 is out of the box: a run would warn before its first draw
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["opt", "--beta", "0.5", "--step", "0.16666666666666666",
+                         "--x0", "3", "--max-iter", "3", "--perturb", perturb])
+        assert code == 2
+        assert caught == []
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("usage error: ") and name in err
+
+    def test_opt_prints_box_warning_once(self, capsys):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["opt", "--beta", "0.5", "--step", "0.16666666666666666",
+                         "--x0", "3", "--max-iter", "3"])
+        assert code == 0
+        assert caught == []
+        out, err = capsys.readouterr()
+        lines = [ln for ln in out.splitlines() if ln.startswith("warning:")]
+        assert len(lines) == 1 and "outside T41 box" in lines[0]
+        assert "warning" not in err.lower()
 
     @pytest.mark.parametrize("t0", ["1e-200", "1e-160"])
     def test_ode_power_forcing_not_finite_at_t0(self, capsys, t0):

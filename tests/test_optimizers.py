@@ -297,6 +297,28 @@ class TestRun:
         assert res.final.k == 20
         assert res.box_warnings
 
+    @pytest.mark.parametrize("case", ["alpha", "empty-beta", "beta", "step", "T42"])
+    def test_box_warning_is_one_message(self, sine_well, monkeypatch, case):
+        from inertiq import analysis
+
+        cfg = AlgorithmConfig(**IAA_BENCH)
+        assert optimizers.validate_against_box(sine_well, cfg) == []
+        theorem = "T41"
+        if case == "alpha":
+            cfg = dataclasses.replace(cfg, alpha=0.6)
+        elif case == "empty-beta":  # no alpha in (0, 1/2) empties the T41/T42 slice
+            monkeypatch.setattr(analysis, "_beta_interval",
+                                lambda *args: analysis.Interval(0.0, 0.0))
+        elif case == "beta":
+            cfg = dataclasses.replace(cfg, alpha=0.45, beta=0.01)
+        elif case == "step":
+            cfg = dataclasses.replace(cfg, s=0.1)
+        else:  # beta = 0.2 lies in the T41 slice at alpha = 0.3, not in T42's
+            cfg = dataclasses.replace(cfg, perturb=PerturbationSpec.power(1.0, 2.0))
+            theorem = "T42"
+        [msg] = optimizers.validate_against_box(sine_well, cfg)
+        assert msg.startswith(f"outside {theorem} box: ") and msg.endswith("; run is uncertified")
+
     def test_divergence(self):
         p = make_quadratic([1.0])
         cfg = AlgorithmConfig(variant="HBM", alpha=0.9, beta=1e3)

@@ -89,6 +89,15 @@ class TestPowerDecay:
         with pytest.raises(NonPositiveTime):
             sample_continuous(spec, 0.0, 1)
 
+    def test_overflowing_power_is_a_zero_draw(self):
+        # 7^400 exceeds the float range, so c0/t^p rounds to 0
+        for direction in ("e1", "random"):
+            spec = PerturbationSpec.power(c0=1.0, p=400.0, direction=direction)
+            np.testing.assert_array_equal(sample_discrete(spec, 7, 2), np.zeros(2))
+            np.testing.assert_array_equal(sample_continuous(spec, 7.0, 2, step=0), np.zeros(2))
+        spec = PerturbationSpec.power(c0=1.0, p=400.0)
+        np.testing.assert_array_equal(sample_continuous(spec, 7.0, 1), np.zeros(1))
+
     def test_square_integrability_witness(self):
         # For p > 1/2 the tail integral of |eps(t)|^2 = c0^2 / t^(2p) vanishes:
         # successive trapezoid-rule tails shrink below 1e-6.
@@ -176,6 +185,15 @@ class TestGrammar:
             parse_perturbation("bogus:a=1")
         with pytest.raises(ValueError):
             parse_perturbation("power:c0")
+
+    @pytest.mark.parametrize("text, message", [
+        ("power:c0=1,pp=3", "unknown power perturbation parameter 'pp'"),
+        ("gauss:sigma0=1,decay=0,dir=random", "unknown gauss perturbation parameter 'dir'"),
+        ("power:c0=1,p=1,dir=foo", "unknown perturbation direction 'foo'"),
+    ])
+    def test_unread_key_or_direction_rejected(self, text, message):
+        with pytest.raises(ValueError, match=message):
+            parse_perturbation(text)
 
     def test_invalid_specs(self):
         with pytest.raises(ValueError):
