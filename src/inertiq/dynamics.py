@@ -8,12 +8,12 @@ as a first-order system in (x, v) with a fixed-step classical 4th-order
 Runge-Kutta scheme.  Fixed stepping (no adaptivity) keeps runs bitwise
 deterministic, which the golden-CSV and perturbation-reproducibility
 contracts rely on.  One vector field and one stage combination serve every
-dimension; at d = 1 the state is two Python floats, the IEEE-754 operations
-of 1-element arrays without numpy's per-call dispatch, and records still
-hold 1-element arrays.  The perturbation is one additive term of the
-acceleration.  Power-law magnitudes are evaluated at every stage time (a
-random direction is drawn once per step); Gaussian draws are frozen once
-per step so stage-inconsistent noise cannot destroy the integrator's order.
+dimension; at d = 1 the state is two Python floats
+(:func:`inertiq.problems.state_ops`), and records still hold 1-element
+arrays.  The perturbation is one additive term of the acceleration.
+Power-law magnitudes are evaluated at every stage time (a random direction
+is drawn once per step); Gaussian draws are frozen once per step so
+stage-inconsistent noise cannot destroy the integrator's order.
 
 Evaluating the gradient at the look-ahead point x + beta*x' is what
 produces the implicit Hessian damping: its first-order expansion is
@@ -26,12 +26,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .analysis import _continuous_energy, continuous_energy  # noqa: F401 (perfbench wraps it)
-from .errors import BLOWUP_NORM, DimensionMismatch, Divergence, EmptyTrajectory
+from .errors import BLOWUP_NORM, Divergence, EmptyTrajectory
 from .perturbations import PerturbationSpec, sample_continuous
-from .problems import Problem, Vector, as_point
+from .problems import Problem, Vector, as_point, state_ops
 
 
 @dataclass(frozen=True)
@@ -102,18 +100,9 @@ def integrate(
         raise ValueError("integrate needs alpha > 0 and beta >= 0")
 
     dim = problem.dimension
-    # Private copies, rebound to fresh arrays each step: records own theirs.
-    x, v = as_point(x0, dim).copy(), as_point(v0, dim).copy()
-    if dim == 1:
-        x, v, point, peak = x.item(), v.item(), (lambda s: np.array([s])), abs
-
-        def grad(s):
-            g = problem.grad(np.array([s]))
-            if g.size != 1:
-                raise DimensionMismatch(f"gradient of a 1-D problem has {g.size} elements")
-            return g.item()
-    else:
-        grad, point, peak = problem.grad, (lambda a: a), (lambda a: float(np.max(np.abs(a))))
+    grad, state, point, peak, _ = state_ops(problem)
+    # Private copies, rebound to fresh states each step: records own theirs.
+    x, v = state(as_point(x0, dim).copy()), state(as_point(v0, dim).copy())
     n_steps = max(1, int(round((t_end - t0) / dt)))
     half = 0.5 * dt
     sixth = dt / 6.0
@@ -123,8 +112,7 @@ def integrate(
     frozen = None
 
     def eps_at(t, j):
-        eps = sample_continuous(pert, t, dim, step=j)
-        return eps.item() if dim == 1 else eps
+        return state(sample_continuous(pert, t, dim, step=j))
 
     def accel(j, tt, xx, vv):
         return _accel(grad, alpha, beta, xx, vv, eps_at(tt, j) if per_stage else frozen)

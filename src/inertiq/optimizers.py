@@ -17,7 +17,10 @@ Startup convention x_{-1} := x_0, so momentum terms vanish when x_0 = x_1.
 ``run`` records, counts and stops every iterate, x_0 and x_1 included, in
 one loop.  Each record evaluates g_k once and keeps it only for the steps
 that read it (HBM, HBM_H, NAG_H), and g_{k-1} only for HBM_H and NAG_H;
-g_0 is record 0's gradient.
+g_0 is record 0's gradient.  At d = 1 the loop holds x_{k-1}, x_k, g_k,
+g_{k-1} and eps_k as Python floats (:func:`inertiq.problems.state_ops`),
+the same IEEE-754 operations as 1-element arrays, and records still hold
+fresh 1-element arrays.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -39,7 +42,7 @@ from .errors import (
     EmptyBetaInterval,
 )
 from .perturbations import PerturbationSpec, sample_discrete
-from .problems import Problem, Vector, as_point
+from .problems import Problem, Vector, as_point, state_ops
 
 
 class Method(NamedTuple):
@@ -93,7 +96,7 @@ class AlgorithmConfig:
     def __post_init__(self):
         if self.variant not in VARIANTS:
             raise ValueError(f"unknown variant {self.variant!r}; expected {VARIANTS}")
-        if self.alpha < 0 or self.beta < 0 or self.theta < 0:
+        if not (self.alpha >= 0 and self.beta >= 0 and self.theta >= 0):
             raise ValueError("alpha, beta, theta must be nonnegative")
         step_size = METHODS[self.variant].step_size
         h = getattr(self, step_size)
@@ -156,24 +159,27 @@ class RunResult:
 
 
 def step_iaa(
-    problem: Problem,
+    grad: Callable[[Vector], Vector],
     cfg: AlgorithmConfig,
     x_k: Vector,
     x_km1: Vector,
     eps_k: Vector | None = None,
 ) -> Vector:
-    """One IAA update; pure function of its arguments."""
+    """One IAA update with gradient ``grad``; pure function of its arguments.
+
+    Points, gradients and eps_k are all float arrays or all Python floats.
+    """
     d = x_k - x_km1
     y = x_k + cfg.alpha * d
     z = x_k + cfg.beta * d
-    x_next = y - cfg.s * problem.grad(z)
-    if eps_k is not None and np.any(eps_k):
+    x_next = y - cfg.s * grad(z)
+    if eps_k is not None and np.count_nonzero(eps_k):
         x_next = x_next + cfg.s * eps_k
     return x_next
 
 
 def step_baseline(
-    problem: Problem,
+    grad: Callable[[Vector], Vector],
     cfg: AlgorithmConfig,
     x_k: Vector,
     x_km1: Vector,
@@ -183,23 +189,24 @@ def step_baseline(
 ) -> Vector:
     """One baseline update from x_k, x_{k-1}, g_k and g_{k-1}; returns x_{k+1}.
 
-    g_k = grad f(x_k) is read, never evaluated: the only gradient call is at
-    y_k for NAG/NAG_H.  x_k and x_km1 must be float arrays, as ``run``
-    passes them: the update is built in place.
+    g_k = grad f(x_k) is read, never evaluated: the only ``grad`` call is at
+    y_k for NAG/NAG_H.  Points, gradients and eps_k are all float arrays or
+    all Python floats, as ``run`` passes them: on arrays the update is built
+    in place on one fresh array, and on floats the same operations rebind y.
     """
     method = METHODS[cfg.variant]
     if method.grad_at == "z":
         raise ValueError(f"step_baseline got variant {cfg.variant!r}")
     # In place on one fresh array: fewer 512 KB temporaries at large d
     # (README, "Performance"), and the same IEEE-754 operations as
-    # x_k + alpha*d - beta*g, so the same bits.
+    # x_k + alpha*d - beta*g, so the same bits.  On floats each one rebinds y.
     y = x_k - x_km1
     y *= cfg.alpha
     y += x_k
     if method.hessian_correction:
         y -= cfg.theta * (g_k - g_km1)
-    y -= cfg.beta * (g_k if method.grad_at == "x" else problem.grad(y))
-    if eps_k is not None and np.any(eps_k):
+    y -= cfg.beta * (g_k if method.grad_at == "x" else grad(y))
+    if eps_k is not None and np.count_nonzero(eps_k):
         y += cfg.beta * eps_k
     return y
 
@@ -236,15 +243,17 @@ def run(
     :class:`NonFiniteIterate` (with the last finite k) on NaN/Inf.
     """
     stop = stop or StoppingRule()
-    x_prev = as_point(x0, problem.dimension).copy()
-    x_cur = as_point(x1 if x1 is not None else x0, problem.dimension).copy()
+    dim = problem.dimension
+    grad, state, point, peak, sqnorm = state_ops(problem)
+    x_prev = state(as_point(x0, dim).copy())
+    x_cur = state(as_point(x1 if x1 is not None else x0, dim).copy())
 
     box_warnings = validate_against_box(problem, cfg)
     for msg in box_warnings:
         warnings.warn(msg, stacklevel=2)
 
     fstar = problem.min_value
-    xstar = problem.minimizer
+    xstar = None if problem.minimizer is None else state(problem.minimizer)
     use_value = fstar is not None
     c_energy = None
     if cfg.variant == "IAA" and use_value and cfg.alpha > 0 and cfg.s:
@@ -257,18 +266,14 @@ def run(
 
     def make_record(k: int, x: Vector, x_before: Vector) -> Vector | None:
         """Append iterate k's record; return g_k = grad f(x_k) if the step reads it."""
-        # x is owned by the record: every recorded array is a private copy
-        # (x_0, x_1) or a fresh step result, and none is written afterwards.
-        fx = float(problem.func(x))
-        gx = problem.grad(x)
+        # The record owns its array: a fresh one at d = 1, else a private
+        # copy (x_0, x_1) or a fresh step result, never written afterwards.
+        x_vec = point(x)
+        fx = float(problem.func(x_vec))
+        gx = grad(x)
         value_error = fx - fstar if use_value else fx
-        dx = x - x_before
-        step = math.sqrt(dx.dot(dx))
-        if xstar is not None:
-            diff = x - xstar
-            dist = math.sqrt(diff.dot(diff))
-        else:
-            dist = float("nan")
+        step = math.sqrt(sqnorm(x - x_before))
+        dist = math.sqrt(sqnorm(x - xstar)) if xstar is not None else float("nan")
         if c_energy is not None and c_energy > 0:
             energy = analysis._discrete_energy(value_error, c_energy, step)
         elif c_energy == 0.0:
@@ -277,9 +282,9 @@ def run(
             energy = float("nan")
         records.append(IterateRecord(
             k=k,
-            x=x,
+            x=x_vec,
             value_error=value_error,
-            grad_norm=math.sqrt(gx.dot(gx)),
+            grad_norm=math.sqrt(sqnorm(gx)),
             dist=dist,
             step=step,
             energy=energy,
@@ -298,13 +303,13 @@ def run(
     sample_noise = not cfg.perturb.is_zero
     k = 1
     while k < stop.max_iter and not hit_tol(records[-1]):
-        eps = sample_discrete(cfg.perturb, k, problem.dimension) if sample_noise else None
+        eps = state(sample_discrete(cfg.perturb, k, dim)) if sample_noise else None
         if cfg.variant == "IAA":
-            x_next = step_iaa(problem, cfg, x_cur, x_prev, eps)
+            x_next = step_iaa(grad, cfg, x_cur, x_prev, eps)
         else:
-            x_next = step_baseline(problem, cfg, x_cur, x_prev, g_cur, g_prev, eps)
+            x_next = step_baseline(grad, cfg, x_cur, x_prev, g_cur, g_prev, eps)
         # One reduction guards both: NaN and inf propagate through max.
-        xmax = float(np.abs(x_next).max())
+        xmax = peak(x_next)
         if not math.isfinite(xmax):
             raise NonFiniteIterate(
                 f"iterate {k + 1} is non-finite; last finite k = {k}",

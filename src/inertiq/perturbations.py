@@ -150,12 +150,12 @@ class PerturbationSpec:
         if self.model not in MODELS:
             raise ValueError(f"unknown perturbation model {self.model!r}")
         if self.model == "power_decay":
-            if self.c0 < 0:
+            if not (self.c0 >= 0):
                 raise ValueError("c0 must be nonnegative")
             if not (self.p > 0):
                 raise ValueError("power p must be positive")
         if self.model == "gaussian_decay":
-            if self.sigma0 < 0 or self.decay < 0:
+            if not (self.sigma0 >= 0 and self.decay >= 0):
                 raise ValueError("sigma0 and decay must be nonnegative")
         if isinstance(self.direction, str):
             if self.direction not in ("e1", "random"):
@@ -316,7 +316,14 @@ def parse_perturbation(text: str, seed: int = 0) -> PerturbationSpec:
 
 
 def format_perturbation(spec: PerturbationSpec) -> str:
-    """Inverse of :func:`parse_perturbation` (seed not included)."""
+    """The grammar text of ``spec`` without its seed, as run CSV headers show it.
+
+    :func:`parse_perturbation` reads it back to ``spec`` (given the seed)
+    only when the direction is ``e1`` or ``random`` and every parameter
+    survives ``:g``, i.e. six significant digits.  An explicit direction
+    vector renders as ``dir=custom``, which names no vector, and the parser
+    rejects it.
+    """
     if spec.model == "none":
         return "none"
     if spec.model == "power_decay":

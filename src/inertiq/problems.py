@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 from numpy.typing import NDArray
@@ -80,6 +80,45 @@ class Problem:
                 )
             if self.min_value is None:
                 object.__setattr__(self, "min_value", float(self.func(xstar)))
+
+
+class StateOps(NamedTuple):
+    """How a solver holds the points of one problem (:func:`state_ops`)."""
+
+    grad: Callable  # gradient of a state, as a state
+    state: Callable  # vector -> state
+    point: Callable  # state -> vector a record can own
+    peak: Callable  # largest |coordinate|; NaN if any coordinate is NaN
+    # v . v, also at d = 1: sqrt(s * s) is not |s| once s * s under- or overflows
+    sqnorm: Callable
+
+
+def state_ops(problem: Problem) -> StateOps:
+    """Python floats at d = 1, vectors otherwise.
+
+    ``+``, ``-`` and ``*`` on Python floats are the IEEE-754 operations of
+    1-element float64 arrays without numpy's per-call dispatch, so one
+    solver loop gives the same bits either way.  At d = 1 ``point`` makes a
+    fresh 1-element array, and ``grad`` calls ``problem.grad`` on one and
+    raises :class:`DimensionMismatch` unless the result has one element.
+    """
+    if problem.dimension > 1:
+        return StateOps(
+            problem.grad, _same, _same, lambda a: float(np.abs(a).max()), lambda a: a.dot(a)
+        )
+    vector_grad = problem.grad
+
+    def grad(s: float) -> float:
+        g = vector_grad(np.array([s]))
+        if g.size != 1:
+            raise DimensionMismatch(f"gradient of a 1-D problem has {g.size} elements")
+        return g.item()
+
+    return StateOps(grad, lambda a: a.item(), lambda s: np.array([s]), abs, lambda s: s * s)
+
+
+def _same(a):
+    return a
 
 
 # ---------------------------------------------------------------------------

@@ -568,6 +568,28 @@ class TestCli:
         assert out == ""
         assert err.startswith("usage error: ") and name in err
 
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--alpha", "nan", "alpha, beta, theta must be nonnegative"),
+        ("--beta", "nan", "alpha, beta, theta must be nonnegative"),
+        ("--theta", "nan", "alpha, beta, theta must be nonnegative"),
+        ("--perturb", "power:c0=nan,p=1", "c0 must be nonnegative"),
+        ("--perturb", "gauss:sigma0=nan,decay=0", "sigma0 and decay must be nonnegative"),
+        ("--perturb", "gauss:sigma0=1,decay=nan", "sigma0 and decay must be nonnegative"),
+    ])
+    def test_opt_rejects_nan_before_running(self, capsys, monkeypatch, flag, value, message):
+        from inertiq import optimizers
+
+        def no_run(*args, **kwargs):
+            raise AssertionError("run() was called")
+
+        monkeypatch.setattr(optimizers, "run", no_run)
+        code = main(["opt", "--step", "0.16666666666666666", "--x0", "3", "--max-iter", "3",
+                     f"{flag}={value}"])
+        assert code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"usage error: {message}\n"
+
     def test_opt_prints_box_warning_once(self, capsys):
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")

@@ -4,6 +4,8 @@ import dataclasses
 import importlib.util
 import itertools
 import math
+import struct
+import warnings
 import weakref
 from pathlib import Path
 
@@ -22,9 +24,10 @@ from inertiq import (
     step_baseline,
     step_iaa,
 )
-from inertiq import optimizers
-from inertiq.errors import Divergence, NonFiniteIterate
-from inertiq.problems import Problem
+from inertiq import analysis, optimizers
+from inertiq.errors import BLOWUP_NORM, DimensionMismatch, Divergence, NonFiniteIterate
+from inertiq.optimizers import METHODS, IterateRecord, RunResult
+from inertiq.problems import Problem, as_point, state_ops
 
 
 @pytest.fixture(scope="module")
@@ -43,17 +46,28 @@ def _bench_config(variant):
     return AlgorithmConfig(variant=variant, alpha=0.7, beta=1.0 / 24.0, theta=0.05)
 
 
+class TestAlgorithmConfig:
+    @pytest.mark.parametrize("variant", VARIANTS)
+    @pytest.mark.parametrize("name", ["alpha", "beta", "theta"])
+    @pytest.mark.parametrize("value", [math.nan, -1.0])
+    def test_rejects_nan_and_negative_coefficients(self, variant, name, value):
+        coefs = dict(alpha=0.3, beta=0.2, theta=0.05, s=1.0 / 6.0)
+        coefs[name] = value
+        with pytest.raises(ValueError, match="must be nonnegative"):
+            AlgorithmConfig(variant, **coefs)
+
+
 class TestStepIaa:
     def test_fixed_point(self, sine_well):
         cfg = AlgorithmConfig(**IAA_BENCH)
         xstar = np.array([0.0])
-        np.testing.assert_array_equal(step_iaa(sine_well, cfg, xstar, xstar), xstar)
+        np.testing.assert_array_equal(step_iaa(sine_well.grad, cfg, xstar, xstar), xstar)
 
     def test_equal_iterates_step(self, sine_well):
         # x1 = x0 = 3: momentum vanishes, x2 = 3 - s grad f(3)
         cfg = AlgorithmConfig(**IAA_BENCH)
         x = np.array([3.0])
-        x2 = step_iaa(sine_well, cfg, x, x)
+        x2 = step_iaa(sine_well.grad, cfg, x, x)
         expected = 3.0 - (6.0 + 2.0 * math.sin(6.0)) / 6.0
         assert x2[0] == pytest.approx(expected, rel=1e-15)
         assert x2[0] == pytest.approx(2.093139, abs=1e-6)
@@ -65,7 +79,7 @@ class TestStepIaa:
         xk, xk1 = np.array([2.0]), np.array([1.5])
         z = xk + cfg.beta * (xk - xk1)
         eps = sine_well.grad(z)
-        x2 = step_iaa(sine_well, cfg, xk, xk1, eps)
+        x2 = step_iaa(sine_well.grad, cfg, xk, xk1, eps)
         y = xk + cfg.alpha * (xk - xk1)
         np.testing.assert_allclose(x2, y, rtol=1e-12)
 
@@ -75,14 +89,14 @@ class TestStepBaseline:
         cfg = AlgorithmConfig(variant="HBM", alpha=0.7, beta=1.0 / 24.0)
         xstar = np.array([0.0])
         g = sine_well.grad(xstar)
-        x2 = step_baseline(sine_well, cfg, xstar, xstar, g, g)
+        x2 = step_baseline(sine_well.grad, cfg, xstar, xstar, g, g)
         np.testing.assert_array_equal(x2, xstar)
 
     def test_hbm_equal_iterates(self, sine_well):
         cfg = AlgorithmConfig(variant="HBM", alpha=0.7, beta=1.0 / 24.0)
         x = np.array([3.0])
         g = sine_well.grad(x)
-        x2 = step_baseline(sine_well, cfg, x, x, g, g)
+        x2 = step_baseline(sine_well.grad, cfg, x, x, g, g)
         expected = 3.0 - (6.0 + 2.0 * math.sin(6.0)) / 24.0
         assert x2[0] == pytest.approx(expected, rel=1e-15)
         assert x2[0] == pytest.approx(2.773285, abs=1e-6)
@@ -92,14 +106,14 @@ class TestStepBaseline:
         hess = AlgorithmConfig(variant="HBM_H", alpha=0.7, beta=1.0 / 24.0, theta=0.0)
         xk, xk1 = np.array([2.0]), np.array([2.5])
         gk, gk1 = sine_well.grad(xk), sine_well.grad(xk1)
-        a = step_baseline(sine_well, plain, xk, xk1, gk, gk1)
-        b = step_baseline(sine_well, hess, xk, xk1, gk, gk1)
+        a = step_baseline(sine_well.grad, plain, xk, xk1, gk, gk1)
+        b = step_baseline(sine_well.grad, hess, xk, xk1, gk, gk1)
         np.testing.assert_array_equal(a, b)
 
     def test_nag_uses_extrapolated_gradient(self, sine_well):
         cfg = AlgorithmConfig(variant="NAG", alpha=0.7, beta=1.0 / 24.0)
         xk, xk1 = np.array([2.0]), np.array([2.5])
-        x2 = step_baseline(sine_well, cfg, xk, xk1, sine_well.grad(xk), sine_well.grad(xk1))
+        x2 = step_baseline(sine_well.grad, cfg, xk, xk1, sine_well.grad(xk), sine_well.grad(xk1))
         y = xk + 0.7 * (xk - xk1)
         np.testing.assert_allclose(x2, y - cfg.beta * sine_well.grad(y), rtol=1e-15)
 
@@ -152,7 +166,7 @@ class TestStepBaselineMatchesReference:
         eps = data.draw(st.none() | st.just(np.zeros(dim)) | vec)
         problem = _PROBLEM_BY_DIM[dim]
         cfg = AlgorithmConfig(variant=variant, alpha=alpha, beta=beta, theta=theta)
-        x_next = step_baseline(problem, cfg, x_k, x_km1, problem.grad(x_k), g_km1, eps)
+        x_next = step_baseline(problem.grad, cfg, x_k, x_km1, problem.grad(x_k), g_km1, eps)
         ref_next, _ = _step_baseline_reference(problem, cfg, x_k, x_km1, g_km1, eps)
         assert x_next.tobytes() == ref_next.tobytes()
 
@@ -447,6 +461,207 @@ class TestModuleAttributeContract:
         with spans.installed(spans.Tracer(), {}):
             assert optimizers.step_baseline is not original
         assert optimizers.step_baseline is original
+
+
+def _run_reference(problem, cfg, x0, x1=None, stop=None):
+    """The array-state run() loop and steps, kept as the reference that the
+    d = 1 float-state loop must equal bit for bit."""
+    stop = stop or StoppingRule()
+    x_prev = as_point(x0, problem.dimension).copy()
+    x_cur = as_point(x1 if x1 is not None else x0, problem.dimension).copy()
+    box_warnings = optimizers.validate_against_box(problem, cfg)
+    fstar = problem.min_value
+    xstar = problem.minimizer
+    use_value = fstar is not None
+    c_energy = None
+    if cfg.variant == "IAA" and use_value and cfg.alpha > 0 and cfg.s:
+        c_energy = cfg.beta / (cfg.alpha * cfg.s)
+    method = METHODS[cfg.variant]
+    records = []
+
+    def make_record(k, x, x_before):
+        fx = float(problem.func(x))
+        gx = problem.grad(x)
+        value_error = fx - fstar if use_value else fx
+        dx = x - x_before
+        step = math.sqrt(dx.dot(dx))
+        if xstar is not None:
+            diff = x - xstar
+            dist = math.sqrt(diff.dot(diff))
+        else:
+            dist = float("nan")
+        if c_energy is not None and c_energy > 0:
+            energy = analysis._discrete_energy(value_error, c_energy, step)
+        elif c_energy == 0.0:
+            energy = value_error
+        else:
+            energy = float("nan")
+        records.append(IterateRecord(k, x, value_error, math.sqrt(gx.dot(gx)), dist, step,
+                                     energy, method.grad_evals(k)))
+        return gx
+
+    def step(x_k, x_km1, g_k, g_km1, eps_k):
+        if method.grad_at == "z":
+            d = x_k - x_km1
+            y = x_k + cfg.alpha * d
+            z = x_k + cfg.beta * d
+            x_next = y - cfg.s * problem.grad(z)
+            if eps_k is not None and np.any(eps_k):
+                x_next = x_next + cfg.s * eps_k
+            return x_next
+        y = x_k - x_km1
+        y *= cfg.alpha
+        y += x_k
+        if method.hessian_correction:
+            y -= cfg.theta * (g_k - g_km1)
+        y -= cfg.beta * (g_k if method.grad_at == "x" else problem.grad(y))
+        if eps_k is not None and np.any(eps_k):
+            y += cfg.beta * eps_k
+        return y
+
+    def hit_tol(rec):
+        if stop.tol is None:
+            return False
+        return (rec.value_error if use_value else rec.grad_norm) <= stop.tol
+
+    g_prev, g_cur = None, make_record(0, x_prev, x_prev)
+    g_prev, g_cur = g_cur, make_record(1, x_cur, x_prev)
+    k = 1
+    while k < stop.max_iter and not hit_tol(records[-1]):
+        eps = None
+        if not cfg.perturb.is_zero:
+            eps = optimizers.sample_discrete(cfg.perturb, k, problem.dimension)
+        x_next = step(x_cur, x_prev, g_cur, g_prev, eps)
+        xmax = float(np.abs(x_next).max())
+        if not math.isfinite(xmax):
+            raise NonFiniteIterate(
+                f"iterate {k + 1} is non-finite; last finite k = {k}", last_finite_k=k
+            )
+        if xmax > BLOWUP_NORM:
+            raise Divergence(f"iterates blew up at k = {k + 1} (|x| = {xmax:.3g})", when=k + 1)
+        k += 1
+        x_prev, x_cur = x_cur, x_next
+        g_prev, g_cur = g_cur, make_record(k, x_cur, x_prev)
+    trigger = "tol" if hit_tol(records[-1]) else "max_iter"
+    return RunResult(records, trigger, records[-1].n_grad_evals, tuple(box_warnings))
+
+
+def _overflowing_gradient(x):
+    # Concave and steep: iterates pass the blow-up guard, or reach inf and NaN.
+    (t,) = x.tolist()
+    return np.array([-1e300 * t * abs(t)])
+
+
+_ONE_D_PROBLEMS = {
+    "example51": builtin_problem("example51"),
+    "quadratic": make_quadratic([2.5]),
+    "overflow": Problem(dimension=1, func=lambda x: float(-1e300 * x[0] ** 2),
+                        grad=_overflowing_gradient, gamma=1.0, lipschitz=1.0),
+}
+
+
+def _run_outcome(fn, *args, **kwargs):
+    """Every field of every record as bytes (arrays with shape and dtype), the
+    trigger, the totals and box warnings, or the exception and its fields."""
+    with np.errstate(all="ignore"), warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # box warnings; compared as returned
+        try:
+            res = fn(*args, **kwargs)
+        except (Divergence, NonFiniteIterate) as exc:
+            return (type(exc).__name__, str(exc), getattr(exc, "when", None),
+                    getattr(exc, "last_finite_k", None))
+    rows = [(r.k, repr((r.x.shape, r.x.dtype)), r.x.tobytes(),
+             struct.pack("<5d", r.value_error, r.grad_norm, r.dist, r.step, r.energy),
+             r.n_grad_evals) for r in res.records]
+    return rows, res.trigger, res.n_grad_evals, res.box_warnings
+
+
+class TestFloatStateMatchesReference:
+    """At d = 1 run() holds its state as Python floats; records, triggers,
+    counts and exceptions equal the array-state reference bit for bit."""
+
+    @settings(max_examples=400, database=None, derandomize=True, deadline=None)
+    @given(
+        name=st.sampled_from(sorted(_ONE_D_PROBLEMS)),
+        variant=st.sampled_from(VARIANTS),
+        forcing=st.sampled_from(["none", "e1", "random", "tuple", "gauss"]),
+        p=st.sampled_from([0.5, 1.5, 400.0]),  # at p = 400, k^p overflows from k = 7
+        alpha=st.floats(min_value=0.0, max_value=1.5),
+        beta=st.floats(min_value=1e-3, max_value=1.5),
+        s=st.floats(min_value=1e-3, max_value=1.0),
+        theta=st.floats(min_value=0.0, max_value=1.0),
+        x0=st.floats(min_value=-5.0, max_value=5.0) | st.sampled_from([1e-160, -0.0, 2e4]),
+        x1=st.none() | st.floats(min_value=-5.0, max_value=5.0),
+        tol=st.none() | st.floats(min_value=1e-12, max_value=1e-2),
+        max_iter=st.integers(min_value=1, max_value=60),
+        seed=st.integers(min_value=0, max_value=2**32),
+    )
+    def test_bitwise_equal(self, name, variant, forcing, p, alpha, beta, s, theta, x0, x1,
+                           tol, max_iter, seed):
+        perturb = {
+            "none": PerturbationSpec.none(),
+            "e1": PerturbationSpec.power(0.3, p),
+            "random": PerturbationSpec.power(0.3, p, direction="random", seed=seed),
+            "tuple": PerturbationSpec.power(0.2, p, direction=(-2.0,)),
+            "gauss": PerturbationSpec.gaussian(0.5, 0.1, seed=seed),
+        }[forcing]
+        cfg = AlgorithmConfig(variant, alpha=alpha, beta=beta, theta=theta,
+                              s=s if variant == "IAA" else None, perturb=perturb)
+        args = (_ONE_D_PROBLEMS[name], cfg, [x0], None if x1 is None else [x1],
+                StoppingRule(tol=tol, max_iter=max_iter))
+        assert _run_outcome(run, *args) == _run_outcome(_run_reference, *args)
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_every_ending_is_reached(self, variant):
+        # The blow-up, non-finite and tolerance paths, per variant.
+        quadratic, overflow = _ONE_D_PROBLEMS["quadratic"], _ONE_D_PROBLEMS["overflow"]
+        cases = {  # the gradient overflows to -inf once |x| > 1.4e4
+            "Divergence": (quadratic, 3.0, dict(alpha=0.9, beta=5.0, s=5.0)),
+            "NonFiniteIterate": (overflow, 2e4, dict(alpha=0.5, beta=0.5, s=0.5)),
+            "tol": (quadratic, 3.0, dict(alpha=0.3, beta=0.2, s=0.4)),
+        }
+        for ending, (problem, x0, coefs) in cases.items():
+            cfg = AlgorithmConfig(variant, theta=0.05, **coefs)
+            args = (problem, cfg, [x0], None, StoppingRule(tol=1e-10, max_iter=10_000))
+            outcome = _run_outcome(run, *args)
+            assert outcome == _run_outcome(_run_reference, *args)
+            assert outcome[0] == ending or outcome[1] == ending, (variant, ending)
+
+    def test_gradient_of_wrong_length(self, sine_well):
+        # a 1-D problem's gradient must have one element; it is not broadcast
+        wide = dataclasses.replace(sine_well, grad=lambda x: np.array([2.0, 1.0]) * x)
+        with pytest.raises(DimensionMismatch, match="2 elements"):
+            run(wide, _bench_config("HBM"), [3.0], stop=StoppingRule(tol=None, max_iter=5))
+
+    def test_wider_problems_keep_arrays(self):
+        basin = builtin_problem("example52")
+        ops = state_ops(basin)
+        assert ops.grad is basin.grad
+        point = np.array([3.0, 3.0])
+        assert ops.state(point) is point and ops.point(point) is point
+
+    @settings(max_examples=300, database=None, derandomize=True)
+    @given(
+        variant=st.sampled_from(VARIANTS),
+        x_k=st.floats(min_value=-10.0, max_value=10.0),
+        x_km1=st.floats(min_value=-10.0, max_value=10.0),
+        g_km1=st.floats(min_value=-10.0, max_value=10.0),
+        eps=st.none() | st.just(0.0) | st.floats(min_value=-1.0, max_value=1.0),
+    )
+    def test_float_steps_equal_array_steps(self, sine_well, variant, x_k, x_km1, g_km1, eps):
+        cfg = _bench_config(variant)
+        grad = state_ops(sine_well).grad
+        vec = lambda v: None if v is None else np.array([v])  # noqa: E731
+        if variant == "IAA":
+            on_floats = optimizers.step_iaa(grad, cfg, x_k, x_km1, eps)
+            on_arrays = optimizers.step_iaa(sine_well.grad, cfg, vec(x_k), vec(x_km1), vec(eps))
+        else:
+            on_floats = optimizers.step_baseline(grad, cfg, x_k, x_km1, grad(x_k), g_km1, eps)
+            on_arrays = optimizers.step_baseline(sine_well.grad, cfg, vec(x_k), vec(x_km1),
+                                                 sine_well.grad(vec(x_k)), vec(g_km1),
+                                                 vec(eps))
+        assert type(on_floats) is float
+        assert struct.pack("<d", on_floats) == on_arrays.tobytes()
 
 
 class TestReductions:

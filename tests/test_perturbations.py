@@ -203,6 +203,44 @@ class TestGrammar:
         with pytest.raises(ValueError):
             PerturbationSpec(model="gaussian_decay", sigma0=-0.1)
 
+    @pytest.mark.parametrize("text, message", [
+        ("power:c0=nan,p=1", "c0 must be nonnegative"),
+        ("power:c0=1,p=nan", "power p must be positive"),
+        ("gauss:sigma0=nan,decay=0", "sigma0 and decay must be nonnegative"),
+        ("gauss:sigma0=1,decay=nan", "sigma0 and decay must be nonnegative"),
+    ])
+    def test_nan_parameters_rejected(self, text, message):
+        with pytest.raises(ValueError, match=message):
+            parse_perturbation(text)
+
+    # Values that survive format_perturbation's :g, and so the round trip.
+    _SIX_DIGITS = st.floats(min_value=0.0, max_value=1e6).map(lambda v: float(f"{v:g}"))
+
+    @settings(max_examples=300, database=None, derandomize=True)
+    @given(
+        model=st.sampled_from(["none", "power_decay", "gaussian_decay"]),
+        a=_SIX_DIGITS,
+        b=_SIX_DIGITS.filter(lambda v: v > 0),
+        direction=st.sampled_from(["e1", "random"]),
+        seed=st.integers(min_value=0, max_value=2**32),
+    )
+    def test_parseable_specs_round_trip(self, model, a, b, direction, seed):
+        spec = {
+            "none": PerturbationSpec.none(),
+            "power_decay": PerturbationSpec.power(a, b, direction=direction, seed=seed),
+            "gaussian_decay": PerturbationSpec.gaussian(a, b, seed=seed),
+        }[model]
+        text = format_perturbation(spec)
+        assert parse_perturbation(text, seed=spec.seed) == spec
+        assert format_perturbation(parse_perturbation(text)) == text
+
+    def test_explicit_direction_renders_as_custom(self):
+        # Run CSV headers carry this text; it names no vector, so it does not parse.
+        spec = PerturbationSpec.power(0.5, 2.0, direction=(1.0, -2.0), seed=3)
+        assert format_perturbation(spec) == "power:c0=0.5,p=2,dir=custom"
+        with pytest.raises(ValueError, match="unknown perturbation direction 'custom'"):
+            parse_perturbation(format_perturbation(spec))
+
 
 # The two-call generator (one key and one masked splitmix64 per Box-Muller
 # lane), kept as the reference that the single-pass generator must equal bit
