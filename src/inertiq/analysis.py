@@ -360,15 +360,19 @@ def continuous_energy(
     xv = as_point(x, problem.dimension)
     vv = as_point(v, problem.dimension)
     value_error = float(problem.func(xv + beta * vv)) - problem.min_value
-    return _continuous_energy(problem, alpha, value_error, xv - problem.minimizer, vv)
+    diff = xv - problem.minimizer
+    return _continuous_energy(problem, alpha, value_error, diff, vv, lambda a: a.dot(a))
 
 
-def _continuous_energy(problem: Problem, alpha: float, value_error: float, diff, v) -> float:
+def _continuous_energy(
+    problem: Problem, alpha: float, value_error: float, diff, v, sqnorm
+) -> float:
     """:func:`continuous_energy` from value_error = f(x + beta*v) - f* and
-    diff = x - x*, for callers that already evaluated f at the look-ahead."""
+    diff = x - x*, for callers that already evaluated f at the look-ahead;
+    ``sqnorm(a)`` is a . a, on vectors or, at d = 1, on Python floats."""
     lam = 2.0 * alpha / (problem.kappa + 4.0)
     w = lam * diff + v
-    return value_error + 0.5 * float(np.dot(w, w)) + 0.5 * lam**2 * float(np.dot(diff, diff))
+    return value_error + 0.5 * float(sqnorm(w)) + 0.5 * lam**2 * float(sqnorm(diff))
 
 
 def discrete_energy(problem: Problem, c: float, x_k, x_km1) -> float:

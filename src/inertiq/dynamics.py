@@ -9,8 +9,9 @@ Runge-Kutta scheme.  Fixed stepping (no adaptivity) keeps runs bitwise
 deterministic, which the golden-CSV and perturbation-reproducibility
 contracts rely on.  One vector field and one stage combination serve every
 dimension; at d = 1 the state is two Python floats
-(:func:`inertiq.problems.state_ops`), and records still hold 1-element
-arrays.  The perturbation is one additive term of the acceleration.
+(:func:`inertiq.problems.state_ops`), and a record's values come from the
+problem's float form where it has one; only the record's own x and v are
+1-element arrays.  The perturbation is one additive term of the acceleration.
 Power-law magnitudes are evaluated at every stage time (a random direction
 is drawn once per step); Gaussian draws are frozen once per step so
 stage-inconsistent noise cannot destroy the integrator's order.
@@ -29,7 +30,7 @@ from dataclasses import dataclass
 from .analysis import _continuous_energy, continuous_energy  # noqa: F401 (perfbench wraps it)
 from .errors import BLOWUP_NORM, Divergence, EmptyTrajectory
 from .perturbations import PerturbationSpec, sample_continuous
-from .problems import Problem, Vector, as_point, state_ops
+from .problems import Problem, StateOps, Vector, as_point, state_ops
 
 
 @dataclass(frozen=True)
@@ -58,17 +59,19 @@ def _accel(grad, alpha: float, beta: float, x, v, eps=None):
 
 
 def _make_record(
-    problem: Problem, alpha: float, beta: float, t: float, x: Vector, v: Vector
+    ops: StateOps, problem: Problem, alpha: float, beta: float, t: float, x, v
 ) -> TrajectoryRecord:
-    lookahead = float(problem.func(x + beta * v))
+    """The record of state (x, v) at time t, which owns ``ops.point`` copies."""
+    lookahead = ops.func(x + beta * v)
     if problem.minimizer is not None and problem.min_value is not None:
         value_error = lookahead - problem.min_value
-        diff = x - problem.minimizer
-        traj_error = math.sqrt(diff.dot(diff))
-        energy = _continuous_energy(problem, alpha, value_error, diff, v)
+        diff = x - ops.state(problem.minimizer)
+        traj_error = math.sqrt(ops.sqnorm(diff))
+        energy = _continuous_energy(problem, alpha, value_error, diff, v, ops.sqnorm)
     else:
         value_error, traj_error, energy = lookahead, float("nan"), float("nan")
-    return TrajectoryRecord(t, x, v, value_error, traj_error, math.sqrt(v.dot(v)), energy)
+    return TrajectoryRecord(t, ops.point(x), ops.point(v), value_error, traj_error,
+                            math.sqrt(ops.sqnorm(v)), energy)
 
 
 def integrate(
@@ -100,7 +103,8 @@ def integrate(
         raise ValueError("integrate needs alpha > 0 and beta >= 0")
 
     dim = problem.dimension
-    grad, state, point, peak, _ = state_ops(problem)
+    ops = state_ops(problem)
+    grad, state, peak = ops.grad, ops.state, ops.peak
     # Private copies, rebound to fresh states each step: records own theirs.
     x, v = state(as_point(x0, dim).copy()), state(as_point(v0, dim).copy())
     n_steps = max(1, int(round((t_end - t0) / dt)))
@@ -117,7 +121,7 @@ def integrate(
     def accel(j, tt, xx, vv):
         return _accel(grad, alpha, beta, xx, vv, eps_at(tt, j) if per_stage else frozen)
 
-    records = [_make_record(problem, alpha, beta, t0, point(x), point(v))]
+    records = [_make_record(ops, problem, alpha, beta, t0, x, v)]
     for j in range(n_steps):
         t = t0 + j * dt
         if per_step:
@@ -142,7 +146,7 @@ def integrate(
                 when=t_next,
             )
         if (j + 1) % record_every == 0 or j + 1 == n_steps:
-            records.append(_make_record(problem, alpha, beta, t_next, point(x), point(v)))
+            records.append(_make_record(ops, problem, alpha, beta, t_next, x, v))
     return records
 
 

@@ -19,8 +19,9 @@ one loop.  Each record evaluates g_k once and keeps it only for the steps
 that read it (HBM, HBM_H, NAG_H), and g_{k-1} only for HBM_H and NAG_H;
 g_0 is record 0's gradient.  At d = 1 the loop holds x_{k-1}, x_k, g_k,
 g_{k-1} and eps_k as Python floats (:func:`inertiq.problems.state_ops`),
-the same IEEE-754 operations as 1-element arrays, and records still hold
-fresh 1-element arrays.
+the same IEEE-754 operations as 1-element arrays, and takes f and grad f
+from the problem's float form where it has one; only a record's own x is
+a fresh 1-element array.
 """
 
 from __future__ import annotations
@@ -244,7 +245,7 @@ def run(
     """
     stop = stop or StoppingRule()
     dim = problem.dimension
-    grad, state, point, peak, sqnorm = state_ops(problem)
+    grad, func, state, point, peak, sqnorm = state_ops(problem)
     x_prev = state(as_point(x0, dim).copy())
     x_cur = state(as_point(x1 if x1 is not None else x0, dim).copy())
 
@@ -266,10 +267,7 @@ def run(
 
     def make_record(k: int, x: Vector, x_before: Vector) -> Vector | None:
         """Append iterate k's record; return g_k = grad f(x_k) if the step reads it."""
-        # The record owns its array: a fresh one at d = 1, else a private
-        # copy (x_0, x_1) or a fresh step result, never written afterwards.
-        x_vec = point(x)
-        fx = float(problem.func(x_vec))
+        fx = func(x)
         gx = grad(x)
         value_error = fx - fstar if use_value else fx
         step = math.sqrt(sqnorm(x - x_before))
@@ -282,7 +280,9 @@ def run(
             energy = float("nan")
         records.append(IterateRecord(
             k=k,
-            x=x_vec,
+            # The record owns its array: a fresh one at d = 1, else a private
+            # copy (x_0, x_1) or a fresh step result, never written afterwards.
+            x=point(x),
             value_error=value_error,
             grad_norm=math.sqrt(sqnorm(gx)),
             dist=dist,

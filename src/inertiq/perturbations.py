@@ -319,14 +319,20 @@ def format_perturbation(spec: PerturbationSpec) -> str:
     """The grammar text of ``spec`` without its seed, as run CSV headers show it.
 
     :func:`parse_perturbation` reads it back to ``spec`` (given the seed)
-    only when the direction is ``e1`` or ``random`` and every parameter
-    survives ``:g``, i.e. six significant digits.  An explicit direction
-    vector renders as ``dir=custom``, which names no vector, and the parser
-    rejects it.
+    when the direction is ``e1`` or ``random``: each parameter is written
+    with ``:g`` when that reads back to the same float, else with ``repr``.
+    An explicit direction vector renders as ``dir=custom``, which names no
+    vector, and the parser rejects it.
     """
     if spec.model == "none":
         return "none"
     if spec.model == "power_decay":
         d = spec.direction if isinstance(spec.direction, str) else "custom"
-        return f"power:c0={spec.c0:g},p={spec.p:g},dir={d}"
-    return f"gauss:sigma0={spec.sigma0:g},decay={spec.decay:g}"
+        return f"power:c0={_exact(spec.c0)},p={_exact(spec.p)},dir={d}"
+    return f"gauss:sigma0={_exact(spec.sigma0)},decay={_exact(spec.decay)}"
+
+
+def _exact(value: float) -> str:
+    """``value`` as ``:g`` when that is the same float, else as ``repr``."""
+    short = f"{value:g}"
+    return short if float(short) == value else repr(float(value))

@@ -47,6 +47,13 @@ class Problem:
     Lipschitz constant L, and kappa the quasar-convexity constant
     <grad f(x), x - x*> >= kappa (f(x) - f(x*)); kappa defaults to gamma/L,
     which is always admissible in this setting.
+
+    float_form, allowed only at dimension 1, is the pair (f, f') on Python
+    floats.  The solvers call it instead of func and grad, so it must give
+    the same bits: write the formula once, as these two functions, and
+    build func and grad from them.  A problem replaced with a new func or
+    grad (``dataclasses.replace``) keeps the old float_form unless it is
+    replaced too.
     """
 
     dimension: int
@@ -58,10 +65,13 @@ class Problem:
     minimizer: Vector | None = None
     min_value: float | None = None
     name: str = "custom"
+    float_form: tuple[Callable[[float], float], Callable[[float], float]] | None = None
 
     def __post_init__(self):
         if self.dimension < 1:
             raise DimensionMismatch("dimension must be a positive integer")
+        if self.float_form is not None and self.dimension != 1:
+            raise ValueError(f"float_form needs dimension 1, got {self.dimension}")
         for label, value in (("gamma", self.gamma), ("lipschitz", self.lipschitz)):
             if not (value > 0):
                 raise ValueError(f"{label} must be positive, got {value}")
@@ -78,6 +88,13 @@ class Problem:
                 raise ValueError(
                     f"declared minimizer is not stationary: |grad| = {gnorm:.3e}"
                 )
+            if self.float_form is not None:
+                slope = abs(self.float_form[1](xstar.item()))
+                if slope > STATIONARITY_TOL:
+                    raise ValueError(
+                        f"declared minimizer is not stationary under float_form: "
+                        f"|f'| = {slope:.3e}"
+                    )
             if self.min_value is None:
                 object.__setattr__(self, "min_value", float(self.func(xstar)))
 
@@ -86,6 +103,7 @@ class StateOps(NamedTuple):
     """How a solver holds the points of one problem (:func:`state_ops`)."""
 
     grad: Callable  # gradient of a state, as a state
+    func: Callable  # value of a state, as a float
     state: Callable  # vector -> state
     point: Callable  # state -> vector a record can own
     peak: Callable  # largest |coordinate|; NaN if any coordinate is NaN
@@ -99,22 +117,33 @@ def state_ops(problem: Problem) -> StateOps:
     ``+``, ``-`` and ``*`` on Python floats are the IEEE-754 operations of
     1-element float64 arrays without numpy's per-call dispatch, so one
     solver loop gives the same bits either way.  At d = 1 ``point`` makes a
-    fresh 1-element array, and ``grad`` calls ``problem.grad`` on one and
-    raises :class:`DimensionMismatch` unless the result has one element.
+    fresh 1-element array for a record, and ``grad`` and ``func`` are the
+    problem's ``float_form``.  Without one they call ``problem.grad`` and
+    ``problem.func`` on a 1-element array, and ``grad`` raises
+    :class:`DimensionMismatch` unless the result has one element.
     """
+    vector_func = problem.func
     if problem.dimension > 1:
         return StateOps(
-            problem.grad, _same, _same, lambda a: float(np.abs(a).max()), lambda a: a.dot(a)
+            problem.grad, lambda a: float(vector_func(a)), _same, _same,
+            lambda a: float(np.abs(a).max()), lambda a: a.dot(a),
         )
-    vector_grad = problem.grad
+    if problem.float_form is not None:
+        func, grad = problem.float_form
+    else:
+        vector_grad = problem.grad
 
-    def grad(s: float) -> float:
-        g = vector_grad(np.array([s]))
-        if g.size != 1:
-            raise DimensionMismatch(f"gradient of a 1-D problem has {g.size} elements")
-        return g.item()
+        def grad(s: float) -> float:
+            g = vector_grad(np.array([s]))
+            if g.size != 1:
+                raise DimensionMismatch(f"gradient of a 1-D problem has {g.size} elements")
+            return g.item()
 
-    return StateOps(grad, lambda a: a.item(), lambda s: np.array([s]), abs, lambda s: s * s)
+        def func(s: float) -> float:
+            return float(vector_func(np.array([s])))
+
+    return StateOps(grad, func, lambda a: a.item(), lambda s: np.array([s]), abs,
+                    lambda s: s * s)
 
 
 def _same(a):
@@ -132,15 +161,21 @@ def _sine_well() -> Problem:
     Lipschitz with L = 6.  Unique minimizer x* = 0 with f(x*) = 0.
     """
 
-    # Points are unpacked to Python floats once: the same IEEE-754 doubles
-    # as numpy scalars, without per-operation numpy dispatch.
+    # The formula is written once, on Python floats; the array forms unpack
+    # their one coordinate and call it, so the two forms give the same bits.
+    def value(t: float) -> float:
+        return t * t + 2.0 * math.sin(t) ** 2
+
+    def slope(t: float) -> float:
+        return 2.0 * t + 2.0 * math.sin(2.0 * t)
+
     def f(x: Vector) -> float:
         (t,) = x.tolist()
-        return t * t + 2.0 * math.sin(t) ** 2
+        return value(t)
 
     def g(x: Vector) -> Vector:
         (t,) = x.tolist()
-        return np.array([2.0 * t + 2.0 * math.sin(2.0 * t)])
+        return np.array([slope(t)])
 
     return Problem(
         dimension=1,
@@ -151,6 +186,7 @@ def _sine_well() -> Problem:
         minimizer=np.array([0.0]),
         min_value=0.0,
         name="example51",
+        float_form=(value, slope),
     )
 
 

@@ -353,10 +353,35 @@ class TestFloatStateMatchesReference:
 
     def test_gradient_of_wrong_length(self, sine_well):
         # a 1-D problem's gradient must have one element; it is not broadcast
-        wide = dataclasses.replace(sine_well, grad=lambda x: np.array([2.0, 1.0]) * x)
+        wide = dataclasses.replace(sine_well, grad=lambda x: np.array([2.0, 1.0]) * x,
+                                   float_form=None)
         with pytest.raises(DimensionMismatch, match="2 elements"):
             integrate(wide, 1.0, 0.1, PerturbationSpec.none(), [3.0], [0.0],
                       t_end=0.1, dt=1e-2)
+
+
+class TestFloatFormMatchesFallback:
+    """example51's float form gives the records, blow-up time and message of
+    the same problem without it, whose array func and grad integrate() wraps."""
+
+    @pytest.mark.parametrize("forcing, ending", [
+        ("none", "records"), ("e1", "records"), ("random", "records"),
+        ("gauss", "records"), ("blow-up", "divergence"),
+    ])
+    def test_bitwise_equal(self, forcing, ending):
+        example51 = builtin_problem("example51")
+        fallback = dataclasses.replace(example51, float_form=None)
+        pert = {
+            "none": PerturbationSpec.none(),
+            "e1": PerturbationSpec.power(0.1, 1.0),
+            "random": PerturbationSpec.power(0.3, 0.5, direction="random", seed=7),
+            "gauss": PerturbationSpec.gaussian(0.5, 0.1, seed=7),
+            "blow-up": PerturbationSpec.power(1e16, 1.0),
+        }[forcing]
+        kwargs = dict(t0=1.0, t_end=6.0, dt=1e-2, record_every=1)
+        outcome = _outcome(integrate, example51, 1.0, 0.1, pert, [3.0], [0.5], **kwargs)
+        assert outcome == _outcome(integrate, fallback, 1.0, 0.1, pert, [3.0], [0.5], **kwargs)
+        assert outcome[0] == ending
 
 
 class TestRandomDirectionForcing:

@@ -182,13 +182,18 @@ class TestGradientCalls:
     def test_grad_calls_per_variant(self, sine_well, variant, calls, evals):
         count = 0
 
-        def counting_grad(x):
-            nonlocal count
-            count += 1
-            return sine_well.grad(x)
+        def counting(grad):
+            def wrapper(x):
+                nonlocal count
+                count += 1
+                return grad(x)
+            return wrapper
 
-        problem = dataclasses.replace(sine_well, grad=counting_grad)
-        count = 0  # drop the stationarity check's call
+        # run() calls the float derivative at d = 1; count both forms.
+        value, slope = sine_well.float_form
+        problem = dataclasses.replace(sine_well, grad=counting(sine_well.grad),
+                                      float_form=(value, counting(slope)))
+        count = 0  # drop the stationarity check's calls
         res = run(problem, _bench_config(variant), [3.0],
                   stop=StoppingRule(tol=None, max_iter=11))
         assert res.final.k == 11  # 12 records, 10 steps
@@ -628,7 +633,8 @@ class TestFloatStateMatchesReference:
 
     def test_gradient_of_wrong_length(self, sine_well):
         # a 1-D problem's gradient must have one element; it is not broadcast
-        wide = dataclasses.replace(sine_well, grad=lambda x: np.array([2.0, 1.0]) * x)
+        wide = dataclasses.replace(sine_well, grad=lambda x: np.array([2.0, 1.0]) * x,
+                                   float_form=None)
         with pytest.raises(DimensionMismatch, match="2 elements"):
             run(wide, _bench_config("HBM"), [3.0], stop=StoppingRule(tol=None, max_iter=5))
 
@@ -663,6 +669,29 @@ class TestFloatStateMatchesReference:
                                       sine_well.grad(vec(x_k)), vec(g_km1), vec(eps))
         assert type(on_floats) is float
         assert struct.pack("<d", on_floats) == on_arrays.tobytes()
+
+
+class TestFloatFormMatchesFallback:
+    """example51's float form gives the records, trigger, counts and blow-up
+    of the same problem without it, whose array func and grad run() wraps."""
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    @pytest.mark.parametrize("noise", [None, PerturbationSpec.gaussian(0.5, 0.1, seed=7)])
+    @pytest.mark.parametrize("coefs, ending", [
+        (None, "tol"),
+        (dict(alpha=0.9, beta=5.0, theta=0.05, s=5.0), "Divergence"),
+    ])
+    def test_bitwise_equal(self, variant, noise, coefs, ending):
+        example51 = builtin_problem("example51")
+        fallback = dataclasses.replace(example51, float_form=None)
+        cfg = _bench_config(variant) if coefs is None else AlgorithmConfig(
+            variant, **{**coefs, "s": coefs["s"] if variant == "IAA" else None})
+        if noise is not None:
+            cfg = dataclasses.replace(cfg, perturb=noise)
+        stop = StoppingRule(tol=1e-10, max_iter=3000)
+        outcome = _run_outcome(run, example51, cfg, [3.0], None, stop)
+        assert outcome == _run_outcome(run, fallback, cfg, [3.0], None, stop)
+        assert ending in (outcome[0], outcome[1]), (variant, outcome[:2])
 
 
 class TestReductions:

@@ -213,14 +213,13 @@ class TestGrammar:
         with pytest.raises(ValueError, match=message):
             parse_perturbation(text)
 
-    # Values that survive format_perturbation's :g, and so the round trip.
-    _SIX_DIGITS = st.floats(min_value=0.0, max_value=1e6).map(lambda v: float(f"{v:g}"))
+    _FINITE = st.floats(min_value=0.0, allow_infinity=False)
 
     @settings(max_examples=300, database=None, derandomize=True)
     @given(
         model=st.sampled_from(["none", "power_decay", "gaussian_decay"]),
-        a=_SIX_DIGITS,
-        b=_SIX_DIGITS.filter(lambda v: v > 0),
+        a=_FINITE,
+        b=_FINITE.filter(lambda v: v > 0),
         direction=st.sampled_from(["e1", "random"]),
         seed=st.integers(min_value=0, max_value=2**32),
     )
@@ -233,6 +232,13 @@ class TestGrammar:
         text = format_perturbation(spec)
         assert parse_perturbation(text, seed=spec.seed) == spec
         assert format_perturbation(parse_perturbation(text)) == text
+
+    def test_parameters_render_exactly(self):
+        # :g where it is exact, so preset headers keep their short form.
+        spec = PerturbationSpec.power(0.1234567, 1.0)
+        assert format_perturbation(spec) == "power:c0=0.1234567,p=1,dir=e1"
+        spec = PerturbationSpec.gaussian(0.001, 1.0 / 3.0)
+        assert format_perturbation(spec) == "gauss:sigma0=0.001,decay=0.3333333333333333"
 
     def test_explicit_direction_renders_as_custom(self):
         # Run CSV headers carry this text; it names no vector, so it does not parse.

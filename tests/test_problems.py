@@ -1,9 +1,11 @@
 """Built-in problems: metadata, analytic gradients, and input validation."""
 
 import math
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from inertiq import as_point, builtin_problem, make_quadratic
 from inertiq.errors import DimensionMismatch, NonFiniteInput, UnknownProblem
@@ -60,6 +62,17 @@ class TestSineWell:
         rng = np.random.default_rng(12)
         for x in rng.uniform(-10.0, 10.0, size=(2000, 1)):
             assert p.func(x) >= p.min_value
+
+    @settings(max_examples=500, database=None, derandomize=True)
+    @given(t=st.floats(min_value=-1e300, max_value=1e300)
+           | st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2e-308, 1e300, -1e300]))
+    def test_float_form_equals_array_form(self, t):
+        # The solvers call the float form at d = 1 instead of func and grad.
+        p = builtin_problem("example51")
+        value, slope = p.float_form
+        x = np.array([t])
+        assert struct.pack("<d", value(t)) == struct.pack("<d", p.func(x))
+        assert struct.pack("<d", slope(t)) == p.grad(x).tobytes()
 
 
 class TestArctanBasin:
@@ -145,6 +158,30 @@ class TestValidation:
                 gamma=1.0,
                 lipschitz=2.0,
                 minimizer=np.array([1.0]),
+            )
+
+    def test_float_form_needs_dimension_one(self):
+        with pytest.raises(ValueError, match="float_form needs dimension 1, got 2"):
+            Problem(
+                dimension=2,
+                func=lambda x: float(x.dot(x)),
+                grad=lambda x: 2.0 * x,
+                gamma=2.0,
+                lipschitz=2.0,
+                float_form=(lambda t: t * t, lambda t: 2.0 * t),
+            )
+
+    def test_nonstationary_float_form_rejected(self):
+        # The array gradient vanishes at x* = 0; the asserted float one does not.
+        with pytest.raises(ValueError, match="not stationary under float_form"):
+            Problem(
+                dimension=1,
+                func=lambda x: float(x[0] ** 2),
+                grad=lambda x: 2.0 * x,
+                gamma=2.0,
+                lipschitz=2.0,
+                minimizer=np.array([0.0]),
+                float_form=(lambda t: t * t, lambda t: 2.0 * t + 1.0),
             )
 
     def test_kappa_defaults_to_gamma_over_lipschitz(self):
