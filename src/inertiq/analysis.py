@@ -24,12 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (
-    EmptyBetaInterval,
-    InfeasibleAlpha,
-    MissingMinimizer,
-    OutOfBox,
-)
+from .errors import MissingMinimizer, OutOfBox
 from .problems import Problem, as_point
 
 THEOREMS = ("T31", "T32", "T41", "T42")
@@ -82,7 +77,6 @@ class ParameterBox:
     theorem: str
     gamma: float
     kappa: float
-    lipschitz: float
     s: float | None
     alpha: Interval
     beta: Interval | None = None
@@ -161,7 +155,8 @@ def parameter_box(
 
     Without ``alpha``, only the alpha interval is populated.  With it, the
     beta slice at that alpha is attached along with the alpha-only derived
-    constants (lambda for T31/T32).
+    constants (lambda for T31/T32).  An alpha outside the theorem's interval,
+    or for T41/T42 an s other than 1/L, raises :class:`OutOfBox`.
     """
     _check_theorem(theorem)
     gamma, kappa = problem.gamma, problem.kappa
@@ -171,21 +166,14 @@ def parameter_box(
     derived: dict = {}
     if alpha is not None:
         if not (alpha > 0) or not alpha_iv.contains(alpha):
-            raise InfeasibleAlpha(
-                f"alpha = {alpha} outside {theorem} interval {alpha_iv}"
-            )
+            raise OutOfBox(f"alpha = {alpha} outside {theorem} interval {alpha_iv}")
         beta_iv = _beta_interval(theorem, gamma, kappa, alpha)
-        if beta_iv.empty:
-            raise EmptyBetaInterval(
-                f"{theorem} beta interval is empty at alpha = {alpha}"
-            )
         if theorem in ("T31", "T32"):
             derived["lambda"] = 2.0 * alpha / (kappa + 4.0)
     return ParameterBox(
         theorem=theorem,
         gamma=gamma,
         kappa=kappa,
-        lipschitz=problem.lipschitz,
         s=step,
         alpha=alpha_iv,
         beta=beta_iv,
@@ -206,7 +194,6 @@ def rate_constants(
     rho and sigma are per-iteration energy contraction factors in (0, 1);
     they are certified lower bounds on speed, not performance predictions.
     """
-    _check_theorem(theorem)
     box = parameter_box(problem, theorem, alpha=alpha, s=s)
     assert box.beta is not None
     if not box.beta.contains(beta):
@@ -239,9 +226,6 @@ def rate_constants(
 # ---------------------------------------------------------------------------
 # Assumption checks
 # ---------------------------------------------------------------------------
-
-ASSUMPTIONS = ("QuadGrowth", "SQC", "PL", "A1")
-
 
 @dataclass(frozen=True)
 class AssumptionReport:

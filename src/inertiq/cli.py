@@ -17,7 +17,7 @@ from pathlib import Path
 
 
 from . import analysis, dynamics, experiments, optimizers, rates
-from .errors import Divergence, InertiqError, UnknownPreset, UnknownProblem
+from .errors import Divergence, InertiqError, UnknownPreset
 from .perturbations import parse_perturbation
 from .problems import builtin_problem
 
@@ -291,7 +291,7 @@ def main(argv: list[str] | None = None) -> int:
     except Divergence as exc:
         print(f"divergence: {exc}", file=sys.stderr)
         return EXIT_DIVERGENCE
-    except (UnknownProblem, UnknownPreset, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except InertiqError as exc:

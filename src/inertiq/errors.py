@@ -1,4 +1,8 @@
-"""Exception hierarchy shared across the package."""
+"""Exception hierarchy shared across the package.
+
+The errors of a bad input (a point, a problem or a preset name) are also
+``ValueError``s, so the CLI reports them as usage errors.
+"""
 
 from __future__ import annotations
 
@@ -7,28 +11,20 @@ class InertiqError(Exception):
     """Base class for all package errors."""
 
 
-class NonFiniteInput(InertiqError):
+class NonFiniteInput(InertiqError, ValueError):
     """An input vector contains NaN or Inf."""
 
 
-class DimensionMismatch(InertiqError):
+class DimensionMismatch(InertiqError, ValueError):
     """Vector length does not match the problem dimension."""
 
 
-class UnknownProblem(InertiqError):
+class UnknownProblem(InertiqError, ValueError):
     """Problem identifier not recognized."""
 
 
 class MissingMinimizer(InertiqError):
     """Operation requires the problem's minimizer and/or optimal value."""
-
-
-class InfeasibleAlpha(InertiqError):
-    """Momentum coefficient lies outside the theorem's admissible interval."""
-
-
-class EmptyBetaInterval(InertiqError):
-    """The admissible extrapolation interval is empty at the given alpha."""
 
 
 class OutOfBox(InertiqError):
@@ -66,5 +62,5 @@ class InsufficientData(InertiqError):
     """Not enough usable points for a fit or metric."""
 
 
-class UnknownPreset(InertiqError):
+class UnknownPreset(InertiqError, ValueError):
     """Experiment preset name not recognized."""

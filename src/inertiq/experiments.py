@@ -26,13 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from . import analysis, rates
-from .errors import (
-    EmptyBetaInterval,
-    InfeasibleAlpha,
-    InsufficientData,
-    OutOfBox,
-    UnknownPreset,
-)
+from .errors import InsufficientData, OutOfBox, UnknownPreset
 from .optimizers import ALGO_NAMES, METHODS, AlgorithmConfig, RunResult, StoppingRule, run
 from .perturbations import (
     PerturbationSpec,
@@ -211,15 +205,14 @@ def write_run_csv(path: Path, result: RunResult, setup: RunSetup) -> None:
 # ---------------------------------------------------------------------------
 
 def _t41_checks(problem: Problem, setup: RunSetup, result: RunResult) -> list[CheckResult]:
-    """Certified-bound assertions for an unperturbed in-box IAA run."""
+    """Certified-bound assertions for an unperturbed in-box IAA run; every
+    built-in problem declares x* and f*, so its records carry energies."""
     cfg = setup.config
     if cfg.variant != "IAA" or not cfg.perturb.is_zero:
         return []
-    if problem.min_value is None or problem.minimizer is None:
-        return []
     try:
         consts = analysis.rate_constants(problem, "T41", cfg.alpha, cfg.beta, cfg.s)
-    except (InfeasibleAlpha, EmptyBetaInterval, OutOfBox):
+    except OutOfBox:
         return []  # out of box: warned elsewhere, nothing to certify
     rho = consts["rho"]
     recs = result.records

@@ -22,11 +22,7 @@ from inertiq import (
 )
 from inertiq.analysis import SLACK_TOL, AssumptionReport, Interval
 from inertiq.cli import main
-from inertiq.errors import (
-    InfeasibleAlpha,
-    MissingMinimizer,
-    OutOfBox,
-)
+from inertiq.errors import MissingMinimizer, OutOfBox
 from inertiq.problems import Problem
 
 
@@ -135,11 +131,11 @@ class TestParameterBox:
         assert box.beta.contains(0.15)
 
     def test_infeasible_alpha(self, sine_well):
-        with pytest.raises(InfeasibleAlpha):
+        with pytest.raises(OutOfBox, match="alpha"):
             parameter_box(sine_well, "T41", alpha=0.5)  # open upper endpoint
-        with pytest.raises(InfeasibleAlpha):
+        with pytest.raises(OutOfBox, match="alpha"):
             parameter_box(sine_well, "T31", alpha=3.0)
-        with pytest.raises(InfeasibleAlpha):
+        with pytest.raises(OutOfBox, match="alpha"):
             parameter_box(sine_well, "T31", alpha=-0.1)
 
     def test_t41_stepsize_must_match(self, sine_well):
@@ -184,6 +180,17 @@ class TestRateConstants:
     def test_out_of_box(self, sine_well):
         with pytest.raises(OutOfBox):
             rate_constants(sine_well, "T41", alpha=0.3, beta=0.3, s=1.0 / 6.0)
+
+    @pytest.mark.parametrize("theorem", ["T41", "T42"])
+    @pytest.mark.parametrize("alpha, beta, s, message", [
+        (0.6, 0.2, 1.0 / 6.0, "alpha = 0.6 outside"),
+        (0.3, 0.3, 1.0 / 6.0, "beta = 0.3 outside"),
+        (0.3, 0.1, 0.5, "requires s = 1/L"),
+    ])
+    def test_every_miss_is_out_of_box(self, sine_well, theorem, alpha, beta, s, message):
+        # beta = 0.1 lies in both slices at alpha = 0.3, beta = 0.3 in neither
+        with pytest.raises(OutOfBox, match=message):
+            rate_constants(sine_well, theorem, alpha, beta, s)
 
     def test_open_endpoints_excluded(self, sine_well):
         # T41's beta interval is open: both endpoints are rejected exactly

@@ -516,6 +516,9 @@ class TestCli:
         typo = tmp_path / "typo.ini"
         typo.write_text("[experiment]\n[run IAA]\nalgo = iaa\nalpah = 0.3\nbeta = 0.2\n"
                         "step = 0.16666666666666666\nx0 = 3\nmax_iter = 5\n")
+        wide_x0 = tmp_path / "wide_x0.ini"
+        wide_x0.write_text("[experiment]\n[run r]\nalgo = hbm\nbeta = 0.04\nx0 = 1 2\n"
+                           "max_iter = 3\n")
         nodir = tmp_path / "nodir"
         malformed = []
         for case, (text, _) in sorted(TestConfigFile.MALFORMED.items()):
@@ -538,6 +541,14 @@ class TestCli:
             ["ode", "--alpha", "1", "--x0", "3", "--t-end", "0.01",
              "--out", str(nodir / "ode.csv"), "--quiet"],
             ["check", "--samples", "10", "--csv", str(nodir / "c.csv"), "--quiet"],
+            # points of the wrong length or with NaN, from flags and from a file
+            ["opt", "--problem", "example51", "--algo", "hbm", "--beta", "0.04",
+             "--x0", "1,2", "--quiet"],
+            ["opt", "--problem", "example52", "--step", "0.125", "--x0", "nan,1",
+             "--quiet"],
+            ["ode", "--problem", "example51", "--alpha", "1", "--x0", "3", "--v0", "1,2",
+             "--t-end", "0.01", "--quiet"],
+            ["exp", str(wide_x0), "--quiet"],
         ):
             assert main(argv) == 2, argv
             assert capsys.readouterr().err.startswith("usage error: "), argv
