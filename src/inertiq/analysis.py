@@ -135,6 +135,8 @@ def _check_theorem(theorem: str) -> None:
 
 def _resolve_stepsize(problem: Problem, theorem: str, s: float | None) -> float | None:
     if theorem in ("T31", "T32"):
+        if s is not None:
+            raise ValueError(f"{theorem} is a continuous-time theorem; it takes no s, got {s}")
         return None
     if s is None:
         return 1.0 / problem.lipschitz
@@ -156,7 +158,8 @@ def parameter_box(
     Without ``alpha``, only the alpha interval is populated.  With it, the
     beta slice at that alpha is attached along with the alpha-only derived
     constants (lambda for T31/T32).  An alpha outside the theorem's interval,
-    or for T41/T42 an s other than 1/L, raises :class:`OutOfBox`.
+    or for T41/T42 an s other than 1/L, raises :class:`OutOfBox`; an s for
+    T31/T32 raises ``ValueError``.
     """
     _check_theorem(theorem)
     gamma, kappa = problem.gamma, problem.kappa

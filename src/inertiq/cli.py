@@ -112,6 +112,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def cmd_check(args) -> int:
     problem = builtin_problem(args.problem)
+    given = [f"--{opt}" for opt in ("alpha", "beta", "step") if getattr(args, opt) is not None]
+    if given and args.theorem is None:
+        raise ValueError(f"--theorem is needed for {', '.join(given)}")
+    if args.beta is not None and args.alpha is None:
+        raise ValueError("--alpha is needed for --beta")
     lines: list[str] = []
     failed = False
     if args.theorem is None or args.box is not None:

@@ -28,7 +28,7 @@ import math
 from dataclasses import dataclass
 
 from .analysis import _continuous_energy, continuous_energy  # noqa: F401 (perfbench wraps it)
-from .errors import BLOWUP_NORM, Divergence, EmptyTrajectory
+from .errors import BLOWUP_NORM, Divergence
 from .perturbations import PerturbationSpec, sample_continuous
 from .problems import Problem, StateOps, Vector, as_point, state_ops
 
@@ -160,7 +160,7 @@ def rate_certificate(
     max(1e-6, 1e-6 * E(t0)).
     """
     if not records:
-        raise EmptyTrajectory("rate_certificate needs at least one record")
+        raise ValueError("rate_certificate needs at least one record")
     t0 = records[0].t
     e0 = records[0].energy
     rate = 0.5 * lam * kappa

@@ -1,7 +1,8 @@
 """Exception hierarchy shared across the package.
 
-The errors of a bad input (a point, a problem or a preset name) are also
-``ValueError``s, so the CLI reports them as usage errors.
+A run that leaves the finite region raises :class:`Divergence`; a bad
+argument raises ``ValueError``, as do the errors of a bad input (a point,
+a problem or a preset name), so the CLI reports them as usage errors.
 """
 
 from __future__ import annotations
@@ -31,31 +32,16 @@ class OutOfBox(InertiqError):
     """(alpha, beta, s) do not satisfy the theorem's hypotheses."""
 
 
-class NonFiniteIterate(InertiqError):
-    """An optimizer step produced NaN or Inf."""
-
-    def __init__(self, message: str, last_finite_k: int | None = None):
-        super().__init__(message)
-        self.last_finite_k = last_finite_k
-
-
 BLOWUP_NORM = 1e12  # max-norm guard of optimizer iterates and ODE states
 
 
 class Divergence(InertiqError):
-    """Trajectory or iterate norm exceeded the blow-up guard (1e12)."""
+    """Trajectory or iterate norm passed the blow-up guard (1e12) or turned
+    NaN or inf; ``when`` is the first iterate k or time t past it."""
 
     def __init__(self, message: str, when: float | None = None):
         super().__init__(message)
         self.when = when
-
-
-class NonPositiveTime(InertiqError):
-    """Power-decay perturbation evaluated at t <= 0."""
-
-
-class EmptyTrajectory(InertiqError):
-    """Certificate requested on an empty record list."""
 
 
 class InsufficientData(InertiqError):

@@ -34,7 +34,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import DimensionMismatch, NonPositiveTime
+from .errors import DimensionMismatch
 from .problems import Vector
 
 MODELS = ("none", "power_decay", "gaussian_decay")
@@ -271,7 +271,7 @@ def sample_continuous(
     integrator passes it); sigma follows the schedule evaluated at t.
     """
     if spec.model == "power_decay" and t <= 0.0:
-        raise NonPositiveTime(f"power-decay perturbation needs t > 0, got {t}")
+        raise ValueError(f"power-decay perturbation needs t > 0, got {t}")
     if step is None and spec.is_stochastic:
         raise ValueError("random draws in continuous time need a step index")
     return _draw(spec, t, 0 if step is None else step + 1, dim)

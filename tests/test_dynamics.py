@@ -24,7 +24,6 @@ from inertiq.errors import (
     BLOWUP_NORM,
     DimensionMismatch,
     Divergence,
-    EmptyTrajectory,
     NonFiniteInput,
 )
 from inertiq.problems import Problem, as_point
@@ -458,5 +457,5 @@ class TestRateCertificate:
         assert worst < 0
 
     def test_empty(self):
-        with pytest.raises(EmptyTrajectory):
+        with pytest.raises(ValueError, match="^rate_certificate needs at least one record$"):
             rate_certificate([], 0.5, 0.1)

@@ -549,6 +549,13 @@ class TestCli:
             ["ode", "--problem", "example51", "--alpha", "1", "--x0", "3", "--v0", "1,2",
              "--t-end", "0.01", "--quiet"],
             ["exp", str(wide_x0), "--quiet"],
+            # check options that would be ignored: no --theorem, no --alpha, s under T32
+            ["check", "--alpha", "0.3", "--samples", "10", "--quiet"],
+            ["check", "--theorem", "T41", "--beta", "0.2", "--quiet"],
+            ["check", "--theorem", "T32", "--alpha", "1", "--step", "0.5", "--quiet"],
+            # a power perturbation evaluated at t = 0
+            ["ode", "--alpha", "1", "--x0", "3", "--t-end", "2",
+             "--perturb", "power:c0=1,p=1", "--t0", "0", "--quiet"],
         ):
             assert main(argv) == 2, argv
             assert capsys.readouterr().err.startswith("usage error: "), argv
@@ -637,13 +644,17 @@ class TestCli:
         assert main(argv) == 2
         assert "unrecognized arguments" in capsys.readouterr().err
 
-    def test_divergence_exit_code(self):
+    def test_divergence_exit_code(self, capsys):
         code = main([
             "opt", "--problem", "quadratic(1,[1])", "--algo", "hbm",
             "--alpha", "0.9", "--beta", "1000", "--x0", "1",
             "--no-tol", "--max-iter", "5000", "--quiet",
         ])
         assert code == 3
+        capsys.readouterr()
+        # x_2 overflows to inf: a divergence, as a finite blow-up is
+        assert main(["opt", "--algo", "hbm", "--beta", "1e308", "--x0", "3", "--quiet"]) == 3
+        assert capsys.readouterr().err == "divergence: iterates blew up at k = 2 (|x| = inf)\n"
 
 
 class TestOdeCsvPinned:

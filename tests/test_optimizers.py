@@ -25,7 +25,7 @@ from inertiq import (
     step_iaa,
 )
 from inertiq import analysis, optimizers
-from inertiq.errors import BLOWUP_NORM, DimensionMismatch, Divergence, NonFiniteIterate
+from inertiq.errors import BLOWUP_NORM, DimensionMismatch, Divergence
 from inertiq.optimizers import METHODS, IterateRecord, RunResult
 from inertiq.problems import Problem, as_point, state_ops
 
@@ -352,11 +352,11 @@ class TestRun:
             lipschitz=1.0,
         )
         cfg = AlgorithmConfig(variant="HBM", alpha=0.5, beta=0.1)
-        with pytest.raises(NonFiniteIterate) as exc:
+        with pytest.raises(Divergence, match=r"^iterates blew up at k = 2 \(\|x\| = nan\)$") as exc:
             run(bad, cfg, [1.0], stop=StoppingRule(tol=None, max_iter=10))
-        assert exc.value.last_finite_k == 1
+        assert exc.value.when == 2
 
-    def test_infinite_iterate_is_nonfinite_not_divergence(self):
+    def test_infinite_iterate_is_divergence(self):
         bad = Problem(
             dimension=1,
             func=lambda x: float(x[0] ** 2),
@@ -365,9 +365,9 @@ class TestRun:
             lipschitz=1.0,
         )
         cfg = AlgorithmConfig(variant="HBM", alpha=0.5, beta=0.1)
-        with pytest.raises(NonFiniteIterate) as exc:
+        with pytest.raises(Divergence, match=r"^iterates blew up at k = 2 \(\|x\| = inf\)$") as exc:
             run(bad, cfg, [1.0], stop=StoppingRule(tol=None, max_iter=10))
-        assert exc.value.last_finite_k == 1
+        assert exc.value.when == 2
 
     def test_nan_in_one_coordinate(self):
         # x_{k+1} = x_k / 2 from (1, 1); the gradient's second coordinate
@@ -383,9 +383,9 @@ class TestRun:
             lipschitz=1.0,
         )
         cfg = AlgorithmConfig(variant="HBM", alpha=0.0, beta=0.5)
-        with pytest.raises(NonFiniteIterate) as exc:
+        with pytest.raises(Divergence, match=r"^iterates blew up at k = 4 \(\|x\| = nan\)$") as exc:
             run(bad, cfg, [1.0, 1.0], stop=StoppingRule(tol=None, max_iter=10))
-        assert exc.value.last_finite_k == 3
+        assert exc.value.when == 4
 
     def test_divergence_when_is_exact(self):
         # x_{k+1} = -10 x_k exactly from x_1 = 1, so |x_13| = 1e12 is still
@@ -537,11 +537,7 @@ def _run_reference(problem, cfg, x0, x1=None, stop=None):
             eps = optimizers.sample_discrete(cfg.perturb, k, problem.dimension)
         x_next = step(x_cur, x_prev, g_cur, g_prev, eps)
         xmax = float(np.abs(x_next).max())
-        if not math.isfinite(xmax):
-            raise NonFiniteIterate(
-                f"iterate {k + 1} is non-finite; last finite k = {k}", last_finite_k=k
-            )
-        if xmax > BLOWUP_NORM:
+        if not xmax <= BLOWUP_NORM:
             raise Divergence(f"iterates blew up at k = {k + 1} (|x| = {xmax:.3g})", when=k + 1)
         k += 1
         x_prev, x_cur = x_cur, x_next
@@ -571,9 +567,8 @@ def _run_outcome(fn, *args, **kwargs):
         warnings.simplefilter("ignore")  # box warnings; compared as returned
         try:
             res = fn(*args, **kwargs)
-        except (Divergence, NonFiniteIterate) as exc:
-            return (type(exc).__name__, str(exc), getattr(exc, "when", None),
-                    getattr(exc, "last_finite_k", None))
+        except Divergence as exc:
+            return type(exc).__name__, str(exc), exc.when
     rows = [(r.k, repr((r.x.shape, r.x.dtype)), r.x.tobytes(),
              struct.pack("<5d", r.value_error, r.grad_norm, r.dist, r.step, r.energy),
              r.n_grad_evals) for r in res.records]
@@ -617,11 +612,11 @@ class TestFloatStateMatchesReference:
 
     @pytest.mark.parametrize("variant", VARIANTS)
     def test_every_ending_is_reached(self, variant):
-        # The blow-up, non-finite and tolerance paths, per variant.
+        # The finite blow-up, overflow and tolerance paths, per variant.
         quadratic, overflow = _ONE_D_PROBLEMS["quadratic"], _ONE_D_PROBLEMS["overflow"]
         cases = {  # the gradient overflows to -inf once |x| > 1.4e4
-            "Divergence": (quadratic, 3.0, dict(alpha=0.9, beta=5.0, s=5.0)),
-            "NonFiniteIterate": (overflow, 2e4, dict(alpha=0.5, beta=0.5, s=0.5)),
+            "blow-up": (quadratic, 3.0, dict(alpha=0.9, beta=5.0, s=5.0)),
+            "overflow": (overflow, 2e4, dict(alpha=0.5, beta=0.5, s=0.5)),
             "tol": (quadratic, 3.0, dict(alpha=0.3, beta=0.2, s=0.4)),
         }
         for ending, (problem, x0, coefs) in cases.items():
@@ -629,7 +624,12 @@ class TestFloatStateMatchesReference:
             args = (problem, cfg, [x0], None, StoppingRule(tol=1e-10, max_iter=10_000))
             outcome = _run_outcome(run, *args)
             assert outcome == _run_outcome(_run_reference, *args)
-            assert outcome[0] == ending or outcome[1] == ending, (variant, ending)
+            if ending == "tol":
+                assert outcome[1] == "tol", (variant, ending)
+            else:  # an overflow is told apart from a finite blow-up by its |x|
+                assert outcome[0] == "Divergence", (variant, ending)
+                non_finite = outcome[1].endswith(("= inf)", "= nan)"))
+                assert non_finite == (ending == "overflow"), (variant, outcome)
 
     def test_gradient_of_wrong_length(self, sine_well):
         # a 1-D problem's gradient must have one element; it is not broadcast

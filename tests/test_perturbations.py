@@ -14,7 +14,7 @@ from inertiq import (
     sample_continuous,
     sample_discrete,
 )
-from inertiq.errors import DimensionMismatch, NonPositiveTime
+from inertiq.errors import DimensionMismatch
 from inertiq.perturbations import (
     _normal_block,
     counter_standard_normal,
@@ -86,7 +86,7 @@ class TestPowerDecay:
 
     def test_nonpositive_time(self):
         spec = PerturbationSpec.power(c0=1.0, p=1.0)
-        with pytest.raises(NonPositiveTime):
+        with pytest.raises(ValueError, match=r"^power-decay perturbation needs t > 0, got 0\.0$"):
             sample_continuous(spec, 0.0, 1)
 
     def test_overflowing_power_is_a_zero_draw(self):
