@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import MissingMinimizer, OutOfBox
+from .errors import OutOfBox
 from .problems import Problem, as_point
 
 THEOREMS = ("T31", "T32", "T41", "T42")
@@ -48,8 +48,6 @@ class Interval:
         return self.hi == self.lo and (self.lo_open or self.hi_open)
 
     def contains(self, x: float) -> bool:
-        if self.empty:
-            return False
         lo_ok = x > self.lo if self.lo_open else x >= self.lo
         hi_ok = x < self.hi if self.hi_open else x <= self.hi
         return lo_ok and hi_ok
@@ -168,7 +166,7 @@ def parameter_box(
     beta_iv = None
     derived: dict = {}
     if alpha is not None:
-        if not (alpha > 0) or not alpha_iv.contains(alpha):
+        if not alpha_iv.contains(alpha):
             raise OutOfBox(f"alpha = {alpha} outside {theorem} interval {alpha_iv}")
         beta_iv = _beta_interval(theorem, gamma, kappa, alpha)
         if theorem in ("T31", "T32"):
@@ -276,7 +274,7 @@ def check_assumptions(
     point.  Deterministic in (seed, samples, box).
     """
     if problem.minimizer is None or problem.min_value is None:
-        raise MissingMinimizer("check_assumptions needs minimizer and min_value")
+        raise ValueError("check_assumptions needs minimizer and min_value")
     if samples < 1:
         raise ValueError("samples must be >= 1")
     dim = problem.dimension
@@ -343,7 +341,7 @@ def continuous_energy(
     metadata is valid; zero exactly at (x*, 0).
     """
     if problem.minimizer is None or problem.min_value is None:
-        raise MissingMinimizer("continuous_energy needs minimizer and min_value")
+        raise ValueError("continuous_energy needs minimizer and min_value")
     xv = as_point(x, problem.dimension)
     vv = as_point(v, problem.dimension)
     value_error = float(problem.func(xv + beta * vv)) - problem.min_value
@@ -365,7 +363,7 @@ def _continuous_energy(
 def discrete_energy(problem: Problem, c: float, x_k, x_km1) -> float:
     """Discrete energy E_k = f(x_k) - f* + (c/2) |x_k - x_{k-1}|^2, c > 0."""
     if problem.min_value is None:
-        raise MissingMinimizer("discrete_energy needs min_value")
+        raise ValueError("discrete_energy needs min_value")
     if not (c > 0):
         raise ValueError(f"energy weight c must be positive, got {c}")
     xk = as_point(x_k, problem.dimension)

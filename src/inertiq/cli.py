@@ -17,7 +17,7 @@ from pathlib import Path
 
 
 from . import analysis, dynamics, experiments, optimizers, rates
-from .errors import Divergence, InertiqError, UnknownPreset
+from .errors import Divergence, InertiqError
 from .perturbations import parse_perturbation
 from .problems import builtin_problem
 
@@ -234,7 +234,7 @@ def cmd_exp(args) -> int:
     elif Path(target).exists():
         cfg = experiments.read_config(target)
     else:
-        raise UnknownPreset(f"{target!r} is neither a preset nor a config file")
+        raise ValueError(f"{target!r} is neither a preset nor a config file")
     if args.seeds:
         cfg = dataclasses.replace(cfg, seeds=experiments.parse_numbers(args.seeds, int))
     summary = experiments.execute(cfg, out_dir=args.out_dir)

@@ -1,8 +1,9 @@
 """Exception hierarchy shared across the package.
 
 A run that leaves the finite region raises :class:`Divergence`; a bad
-argument raises ``ValueError``, as do the errors of a bad input (a point,
-a problem or a preset name), so the CLI reports them as usage errors.
+argument, point, problem or preset name raises ``ValueError``, which the
+CLI reports as a usage error.  The classes here are the ones a caller
+catches by name.
 """
 
 from __future__ import annotations
@@ -10,22 +11,6 @@ from __future__ import annotations
 
 class InertiqError(Exception):
     """Base class for all package errors."""
-
-
-class NonFiniteInput(InertiqError, ValueError):
-    """An input vector contains NaN or Inf."""
-
-
-class DimensionMismatch(InertiqError, ValueError):
-    """Vector length does not match the problem dimension."""
-
-
-class UnknownProblem(InertiqError, ValueError):
-    """Problem identifier not recognized."""
-
-
-class MissingMinimizer(InertiqError):
-    """Operation requires the problem's minimizer and/or optimal value."""
 
 
 class OutOfBox(InertiqError):
@@ -46,7 +31,3 @@ class Divergence(InertiqError):
 
 class InsufficientData(InertiqError):
     """Not enough usable points for a fit or metric."""
-
-
-class UnknownPreset(InertiqError, ValueError):
-    """Experiment preset name not recognized."""

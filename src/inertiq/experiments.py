@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from . import analysis, rates
-from .errors import InsufficientData, OutOfBox, UnknownPreset
+from .errors import InsufficientData, OutOfBox
 from .optimizers import ALGO_NAMES, METHODS, AlgorithmConfig, RunResult, StoppingRule, run
 from .perturbations import (
     PerturbationSpec,
@@ -153,7 +153,7 @@ def preset(name: str) -> ExperimentConfig:
         return ExperimentConfig(
             problem="example52", runs=runs, seeds=tuple(range(1, 11))
         )
-    raise UnknownPreset(f"unknown preset {name!r}; expected one of {', '.join(PRESETS)}")
+    raise ValueError(f"unknown preset {name!r}; expected one of {', '.join(PRESETS)}")
 
 
 # ---------------------------------------------------------------------------

@@ -34,7 +34,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import DimensionMismatch
 from .problems import Vector
 
 MODELS = ("none", "power_decay", "gaussian_decay")
@@ -219,7 +218,7 @@ def _unit_direction(spec: PerturbationSpec, index: int, dim: int) -> Vector:
         return u / nrm
     vec = np.asarray(spec.direction, dtype=np.float64)
     if vec.shape[0] != dim:
-        raise DimensionMismatch(
+        raise ValueError(
             f"perturbation direction has length {vec.shape[0]}, expected {dim}"
         )
     return vec / float(np.linalg.norm(vec))

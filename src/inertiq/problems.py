@@ -17,8 +17,6 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 from numpy.typing import NDArray
 
-from .errors import DimensionMismatch, NonFiniteInput, UnknownProblem
-
 Vector = NDArray[np.float64]
 
 # Gradient norm allowed at a declared minimizer.
@@ -29,13 +27,11 @@ def as_point(x, dimension: int | None = None) -> Vector:
     """Coerce ``x`` to a finite 1-D float64 vector, checking length if given."""
     arr = np.atleast_1d(np.asarray(x, dtype=np.float64))
     if arr.ndim != 1:
-        raise DimensionMismatch(f"expected a vector, got shape {arr.shape}")
+        raise ValueError(f"expected a vector, got shape {arr.shape}")
     if dimension is not None and arr.shape[0] != dimension:
-        raise DimensionMismatch(
-            f"expected length {dimension}, got {arr.shape[0]}"
-        )
+        raise ValueError(f"expected length {dimension}, got {arr.shape[0]}")
     if not np.all(np.isfinite(arr)):
-        raise NonFiniteInput(f"point contains NaN/Inf: {arr}")
+        raise ValueError(f"point contains NaN/Inf: {arr}")
     return arr
 
 
@@ -69,7 +65,7 @@ class Problem:
 
     def __post_init__(self):
         if self.dimension < 1:
-            raise DimensionMismatch("dimension must be a positive integer")
+            raise ValueError("dimension must be a positive integer")
         if self.float_form is not None and self.dimension != 1:
             raise ValueError(f"float_form needs dimension 1, got {self.dimension}")
         for label, value in (("gamma", self.gamma), ("lipschitz", self.lipschitz)):
@@ -120,7 +116,7 @@ def state_ops(problem: Problem) -> StateOps:
     fresh 1-element array for a record, and ``grad`` and ``func`` are the
     problem's ``float_form``.  Without one they call ``problem.grad`` and
     ``problem.func`` on a 1-element array, and ``grad`` raises
-    :class:`DimensionMismatch` unless the result has one element.
+    ``ValueError`` unless the result has one element.
     """
     vector_func = problem.func
     if problem.dimension > 1:
@@ -136,7 +132,7 @@ def state_ops(problem: Problem) -> StateOps:
         def grad(s: float) -> float:
             g = vector_grad(np.array([s]))
             if g.size != 1:
-                raise DimensionMismatch(f"gradient of a 1-D problem has {g.size} elements")
+                raise ValueError(f"gradient of a 1-D problem has {g.size} elements")
             return g.item()
 
         def func(s: float) -> float:
@@ -163,11 +159,19 @@ def _sine_well() -> Problem:
 
     # The formula is written once, on Python floats; the array forms unpack
     # their one coordinate and call it, so the two forms give the same bits.
+    # math.sin raises ValueError at +-inf; NaN there lets the solvers'
+    # blow-up guard report the run as a Divergence.
     def value(t: float) -> float:
-        return t * t + 2.0 * math.sin(t) ** 2
+        try:
+            return t * t + 2.0 * math.sin(t) ** 2
+        except ValueError:
+            return math.nan
 
     def slope(t: float) -> float:
-        return 2.0 * t + 2.0 * math.sin(2.0 * t)
+        try:
+            return 2.0 * t + 2.0 * math.sin(2.0 * t)
+        except ValueError:
+            return math.nan
 
     def f(x: Vector) -> float:
         (t,) = x.tolist()
@@ -274,13 +278,11 @@ def builtin_problem(name: str) -> Problem:
         try:
             spectrum = [float(tok) for tok in m.group(2).split(",") if tok.strip()]
         except ValueError as exc:
-            raise UnknownProblem(f"bad quadratic spectrum in {name!r}") from exc
+            raise ValueError(f"bad quadratic spectrum in {name!r}") from exc
         if len(spectrum) != d:
-            raise UnknownProblem(
-                f"quadratic({d}, ...) needs {d} eigenvalues, got {len(spectrum)}"
-            )
+            raise ValueError(f"quadratic({d}, ...) needs {d} eigenvalues, got {len(spectrum)}")
         return make_quadratic(spectrum)
-    raise UnknownProblem(
+    raise ValueError(
         f"unknown problem {name!r}; expected example51, example52 "
         "or quadratic(d,[l1,...,ld])"
     )

@@ -22,7 +22,7 @@ from inertiq import (
 )
 from inertiq.analysis import SLACK_TOL, AssumptionReport, Interval
 from inertiq.cli import main
-from inertiq.errors import MissingMinimizer, OutOfBox
+from inertiq.errors import OutOfBox
 from inertiq.problems import Problem
 
 
@@ -274,7 +274,7 @@ class TestCheckAssumptions:
             gamma=1.0,
             lipschitz=2.0,
         )
-        with pytest.raises(MissingMinimizer):
+        with pytest.raises(ValueError, match="check_assumptions needs minimizer and min_value"):
             check_assumptions(p, (-1.0, 1.0), samples=10, seed=0)
 
     def test_nan_slack_is_a_violation(self):
@@ -484,7 +484,7 @@ class TestEnergies:
             gamma=1.0,
             lipschitz=2.0,
         )
-        with pytest.raises(MissingMinimizer):
+        with pytest.raises(ValueError, match="continuous_energy needs minimizer and min_value"):
             continuous_energy(p, 1.0, 0.0, [1.0], [0.0])
-        with pytest.raises(MissingMinimizer):
+        with pytest.raises(ValueError, match="discrete_energy needs min_value"):
             discrete_energy(p, 1.0, [1.0], [0.0])

@@ -21,7 +21,6 @@ from inertiq import (
     run,
 )
 from inertiq.cli import _load_series, main
-from inertiq.errors import UnknownPreset
 from inertiq.experiments import render_summary, write_records_csv
 
 _NOISE = PerturbationSpec.gaussian(sigma0=0.001, decay=0.01)
@@ -90,7 +89,7 @@ class TestPresets:
         assert cfg.runs[1].config.beta == 0.04
 
     def test_unknown(self):
-        with pytest.raises(UnknownPreset):
+        with pytest.raises(ValueError, match="unknown preset 'fig99'; expected one of"):
             preset("fig99")
 
 
@@ -655,6 +654,14 @@ class TestCli:
         # x_2 overflows to inf: a divergence, as a finite blow-up is
         assert main(["opt", "--algo", "hbm", "--beta", "1e308", "--x0", "3", "--quiet"]) == 3
         assert capsys.readouterr().err == "divergence: iterates blew up at k = 2 (|x| = inf)\n"
+        # example51's formulas are NaN at +-inf, where math.sin raises
+        assert main(["opt", "--step", "0.16666666666666666", "--beta", "1e308",
+                     "--x0", "3"]) == 3
+        assert capsys.readouterr().err == "divergence: iterates blew up at k = 3 (|x| = nan)\n"
+        assert main(["ode", "--alpha", "1", "--beta", "1e308", "--x0", "3",
+                     "--t-end", "0.01"]) == 3
+        assert capsys.readouterr().err == (
+            "divergence: trajectory blew up at t = 0.001 (|x|=nan, |v|=nan)\n")
 
 
 class TestOdeCsvPinned:

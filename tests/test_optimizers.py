@@ -25,7 +25,7 @@ from inertiq import (
     step_iaa,
 )
 from inertiq import analysis, optimizers
-from inertiq.errors import BLOWUP_NORM, DimensionMismatch, Divergence
+from inertiq.errors import BLOWUP_NORM, Divergence
 from inertiq.optimizers import METHODS, IterateRecord, RunResult
 from inertiq.problems import Problem, as_point, state_ops
 
@@ -635,7 +635,7 @@ class TestFloatStateMatchesReference:
         # a 1-D problem's gradient must have one element; it is not broadcast
         wide = dataclasses.replace(sine_well, grad=lambda x: np.array([2.0, 1.0]) * x,
                                    float_form=None)
-        with pytest.raises(DimensionMismatch, match="2 elements"):
+        with pytest.raises(ValueError, match="gradient of a 1-D problem has 2 elements"):
             run(wide, _bench_config("HBM"), [3.0], stop=StoppingRule(tol=None, max_iter=5))
 
     def test_wider_problems_keep_arrays(self):

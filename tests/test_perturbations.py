@@ -14,7 +14,6 @@ from inertiq import (
     sample_continuous,
     sample_discrete,
 )
-from inertiq.errors import DimensionMismatch
 from inertiq.perturbations import (
     _normal_block,
     counter_standard_normal,
@@ -68,15 +67,15 @@ class TestPowerDecay:
     def test_explicit_direction_longer_than_dimension(self):
         # (0, 1) at d = 1 used to be truncated to (0,) and normalized to nan
         spec = PerturbationSpec.power(c0=1.0, p=1.0, direction=(0.0, 1.0))
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(ValueError, match="direction has length 2, expected 1"):
             sample_discrete(spec, 1, 1)
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(ValueError, match="direction has length 2, expected 1"):
             sample_continuous(spec, 1.0, 1)
 
     def test_explicit_direction_shorter_than_dimension(self):
         # (1, 0) at d = 3 used to be tiled to (1, 0, 1)
         spec = PerturbationSpec.power(c0=1.0, p=1.0, direction=(1.0, 0.0))
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(ValueError, match="direction has length 2, expected 3"):
             sample_discrete(spec, 1, 3)
 
     def test_continuous_profile(self):
