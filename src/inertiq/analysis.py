@@ -136,6 +136,8 @@ def _resolve_stepsize(problem: Problem, theorem: str, s: float | None) -> float 
         if s is not None:
             raise ValueError(f"{theorem} is a continuous-time theorem; it takes no s, got {s}")
         return None
+    if not math.isfinite(problem.lipschitz):  # s = 1/L = 0 bounds nothing
+        raise OutOfBox(f"{theorem} needs a finite L, got L = {problem.lipschitz}")
     if s is None:
         return 1.0 / problem.lipschitz
     if not (s > 0) or abs(s * problem.lipschitz - 1.0) > 1e-9:
@@ -156,8 +158,8 @@ def parameter_box(
     Without ``alpha``, only the alpha interval is populated.  With it, the
     beta slice at that alpha is attached along with the alpha-only derived
     constants (lambda for T31/T32).  An alpha outside the theorem's interval,
-    or for T41/T42 an s other than 1/L, raises :class:`OutOfBox`; an s for
-    T31/T32 raises ``ValueError``.
+    or for T41/T42 an L that is not finite or an s other than 1/L, raises
+    :class:`OutOfBox`; an s for T31/T32 raises ``ValueError``.
     """
     _check_theorem(theorem)
     gamma, kappa = problem.gamma, problem.kappa

@@ -12,9 +12,12 @@ dimension; at d = 1 the state is two Python floats
 (:func:`inertiq.problems.state_ops`), and a record's values come from the
 problem's float form where it has one; only the record's own x and v are
 1-element arrays.  The perturbation is one additive term of the acceleration.
-Power-law magnitudes are evaluated at every stage time (a random direction
-is drawn once per step); Gaussian draws are frozen once per step so
-stage-inconsistent noise cannot destroy the integrator's order.
+Power-law forcing is a float magnitude c0/t^p at each stage time (stages 2
+and 3 share one) times a unit direction, drawn once per run for e1 or an
+explicit vector and once per step for a random one; a finite m >= 0 times
+1.0 or 0.0 is exact, so this equals drawing the whole vector per stage.
+Gaussian draws are frozen once per step so stage-inconsistent noise cannot
+destroy the integrator's order.
 
 Evaluating the gradient at the look-ahead point x + beta*x' is what
 produces the implicit Hessian damping: its first-order expansion is
@@ -29,7 +32,13 @@ from dataclasses import dataclass
 
 from .analysis import _continuous_energy, continuous_energy  # noqa: F401 (perfbench wraps it)
 from .errors import BLOWUP_NORM, Divergence
-from .perturbations import PerturbationSpec, sample_continuous
+from .perturbations import (
+    PerturbationSpec,
+    _positive_time,
+    power_direction,
+    power_magnitude,
+    sample_continuous,
+)
 from .problems import Problem, StateOps, Vector, as_point, state_ops
 
 
@@ -111,31 +120,35 @@ def integrate(
     half = 0.5 * dt
     sixth = dt / 6.0
 
-    per_stage = not pert.is_zero and pert.model == "power_decay"  # eps(t) at each stage
-    per_step = not pert.is_zero and pert.model == "gaussian_decay"  # frozen per step
-    frozen = None
-
-    def eps_at(t, j):
-        return state(sample_continuous(pert, t, dim, step=j))
-
-    def accel(j, tt, xx, vv):
-        return _accel(grad, alpha, beta, xx, vv, eps_at(tt, j) if per_stage else frozen)
+    power = not pert.is_zero and pert.model == "power_decay"
+    gaussian = not pert.is_zero and pert.model == "gaussian_decay"
+    redraw = power and pert.direction == "random"  # a new direction every step
+    e1 = e2 = e4 = None  # the forcing at stage 1, stages 2 and 3, and stage 4
 
     records = [_make_record(ops, problem, alpha, beta, t0, x, v)]
+    if power:  # the first stage time, as the loop computes it; later ones are larger
+        _positive_time(t0 + 0 * dt)
     for j in range(n_steps):
         t = t0 + j * dt
-        if per_step:
-            frozen = eps_at(t, j)
-        k1v = accel(j, t, x, v)
+        if gaussian:  # frozen per step
+            e1 = e2 = e4 = state(sample_continuous(pert, t, dim, step=j))
+        elif power:  # c0/t^p at each stage time times one unit direction
+            m1 = power_magnitude(pert, t)
+            m2 = power_magnitude(pert, t + half)
+            m4 = power_magnitude(pert, t + dt)
+            if redraw or j == 0:  # after the magnitudes, whose error comes first
+                unit = state(power_direction(pert, j + 1, dim))
+            e1, e2, e4 = m1 * unit, m2 * unit, m4 * unit
+        k1v = _accel(grad, alpha, beta, x, v, e1)
         x2 = x + half * v
         v2 = v + half * k1v
-        k2v = accel(j, t + half, x2, v2)
+        k2v = _accel(grad, alpha, beta, x2, v2, e2)
         x3 = x + half * v2
         v3 = v + half * k2v
-        k3v = accel(j, t + half, x3, v3)
+        k3v = _accel(grad, alpha, beta, x3, v3, e2)
         x4 = x + dt * v3
         v4 = v + dt * k3v
-        k4v = accel(j, t + dt, x4, v4)
+        k4v = _accel(grad, alpha, beta, x4, v4, e4)
         x = x + sixth * (v + 2.0 * v2 + 2.0 * v3 + v4)
         v = v + sixth * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
         t_next = t0 + (j + 1) * dt

@@ -206,32 +206,9 @@ class PerturbationSpec:
         return self.sigma0 / (1.0 + self.decay * k)
 
 
-def _unit_direction(spec: PerturbationSpec, index: int, dim: int) -> Vector:
-    """The "random" (counter ``index``) or explicit unit direction."""
-    if spec.direction == "random":
-        u = counter_standard_normal(spec.seed, index, dim)
-        nrm = float(np.linalg.norm(u))
-        if nrm == 0.0:  # unreachable in practice; Box-Muller output is a.s. nonzero
-            u = np.zeros(dim)
-            u[0] = 1.0
-            return u
-        return u / nrm
-    vec = np.asarray(spec.direction, dtype=np.float64)
-    if vec.shape[0] != dim:
-        raise ValueError(
-            f"perturbation direction has length {vec.shape[0]}, expected {dim}"
-        )
-    return vec / float(np.linalg.norm(vec))
-
-
-def _draw(spec: PerturbationSpec, at: float, index: int, dim: int) -> Vector:
-    """Magnitude at iteration or time ``at`` times the direction drawn with
-    counter ``index``: c0 / at^p along a unit direction, or sigma(at) times
-    a standard normal."""
-    if spec.model == "none":
-        return np.zeros(dim)
-    if spec.model == "gaussian_decay":
-        return spec.sigma_at(at) * counter_standard_normal(spec.seed, index, dim)
+def power_magnitude(spec: PerturbationSpec, at: float) -> float:
+    """The power_decay magnitude c0 / at^p as a float; 0 where at^p
+    overflows, and ``ValueError`` where the quotient is not finite."""
     try:
         t_p = float(at) ** spec.p
     except OverflowError:  # t^p beyond the float range: c0/t^p rounds to 0
@@ -242,11 +219,46 @@ def _draw(spec: PerturbationSpec, at: float, index: int, dim: int) -> Vector:
             f"power perturbation c0/t^p = {spec.c0:g}/{t_p:g} = {magnitude:g} is not finite "
             f"at t = {at:g}, p = {spec.p:g}"
         )
-    if spec.direction == "e1":  # c0/t^p * e1, built in one array
-        eps = np.zeros(dim)
-        eps[0] = magnitude
-        return eps
-    return magnitude * _unit_direction(spec, index, dim)
+    return magnitude
+
+
+def power_direction(spec: PerturbationSpec, index: int, dim: int) -> Vector:
+    """The power_decay unit direction: e1, the explicit vector normalized,
+    or a normalized standard normal drawn with counter ``index``."""
+    if spec.direction == "random":
+        u = counter_standard_normal(spec.seed, index, dim)
+        nrm = float(np.linalg.norm(u))
+        if nrm:
+            return u / nrm
+        # unreachable in practice (Box-Muller output is a.s. nonzero): e1
+    elif spec.direction != "e1":
+        vec = np.asarray(spec.direction, dtype=np.float64)
+        if vec.shape[0] != dim:
+            raise ValueError(
+                f"perturbation direction has length {vec.shape[0]}, expected {dim}"
+            )
+        return vec / float(np.linalg.norm(vec))
+    e1 = np.zeros(dim)
+    e1[0] = 1.0
+    return e1
+
+
+def _positive_time(t: float) -> None:
+    """Refuse a continuous-time power_decay draw at t <= 0."""
+    if t <= 0.0:
+        raise ValueError(f"power-decay perturbation needs t > 0, got {t}")
+
+
+def _draw(spec: PerturbationSpec, at: float, index: int, dim: int) -> Vector:
+    """Magnitude at iteration or time ``at`` times the direction drawn with
+    counter ``index``: c0 / at^p along a unit direction, or sigma(at) times
+    a standard normal.  A finite magnitude m >= 0 times e1 is exact, so the
+    power draw needs no e1 special case."""
+    if spec.model == "none":
+        return np.zeros(dim)
+    if spec.model == "gaussian_decay":
+        return spec.sigma_at(at) * counter_standard_normal(spec.seed, index, dim)
+    return power_magnitude(spec, at) * power_direction(spec, index, dim)
 
 
 def sample_discrete(spec: PerturbationSpec, k: int, dim: int) -> Vector:
@@ -269,8 +281,8 @@ def sample_continuous(
     counter is the step index + 1, so ``step`` must be supplied (the
     integrator passes it); sigma follows the schedule evaluated at t.
     """
-    if spec.model == "power_decay" and t <= 0.0:
-        raise ValueError(f"power-decay perturbation needs t > 0, got {t}")
+    if spec.model == "power_decay":
+        _positive_time(t)
     if step is None and spec.is_stochastic:
         raise ValueError("random draws in continuous time need a step index")
     return _draw(spec, t, 0 if step is None else step + 1, dim)

@@ -36,6 +36,13 @@ def arctan_basin():
     return builtin_problem("example52")
 
 
+def _lipschitz_free():
+    """f = x^2/2 + x^4/4: strongly convex with gamma = 1, but no global L."""
+    return Problem(dimension=1, func=lambda x: float(x[0] ** 2 / 2 + x[0] ** 4 / 4),
+                   grad=lambda x: x + x**3, gamma=1.0, lipschitz=math.inf, kappa=2.0,
+                   minimizer=[0.0], min_value=0.0)
+
+
 _ENDS = [(False, False), (False, True), (True, False), (True, True)]
 
 
@@ -145,6 +152,19 @@ class TestParameterBox:
     def test_unknown_theorem(self, sine_well):
         with pytest.raises(ValueError):
             parameter_box(sine_well, "T99")
+
+    @pytest.mark.parametrize("theorem", ["T41", "T42"])
+    def test_discrete_box_needs_finite_lipschitz(self, theorem):
+        # s = 1/L would be 0 under L = inf, so there is no box to be in
+        problem = _lipschitz_free()
+        message = f"^{theorem} needs a finite L, got L = inf$"
+        for s in (None, 0.1):
+            with pytest.raises(OutOfBox, match=message):
+                parameter_box(problem, theorem, alpha=0.3, s=s)
+        with pytest.raises(OutOfBox, match=message):
+            rate_constants(problem, theorem, 0.3, 0.2)
+        # the continuous theorems take no L
+        assert rate_constants(problem, "T31", 1.0, 0.5)["lambda"] == pytest.approx(2.0 / 6.0)
 
 
 class TestRateConstants:

@@ -15,8 +15,9 @@ from inertiq import (
     integrate,
     make_quadratic,
     rate_certificate,
+    sample_continuous,
 )
-from inertiq import dynamics
+from inertiq import dynamics, perturbations
 from inertiq.analysis import continuous_energy
 from inertiq.cli import main
 from inertiq.dynamics import TrajectoryRecord
@@ -354,6 +355,88 @@ class TestFloatStateMatchesReference:
                       t_end=0.1, dt=1e-2)
 
 
+_ARRAY_PROBLEMS = {
+    "example52": builtin_problem("example52"),
+    "quadratic9": make_quadratic(np.linspace(0.5, 4.0, 9)),
+}
+
+_FINITE = st.floats(min_value=-5.0, max_value=5.0)
+
+
+class TestArrayStateMatchesReference:
+    """At d = 2 and d = 9 a power forcing is a float magnitude per stage
+    times a unit direction drawn once per step or once per run; records,
+    blow-up times and messages equal the reference, which draws every
+    stage's forcing through sample_continuous, bit for bit."""
+
+    @settings(max_examples=150, database=None, derandomize=True, deadline=None)
+    @given(
+        name=st.sampled_from(sorted(_ARRAY_PROBLEMS)),
+        forcing=st.sampled_from(["e1", "random", "tuple", "gauss"]),
+        c0=st.sampled_from([0.3, 1e16]),  # 1e16 blows up within a few steps
+        alpha=st.floats(min_value=0.05, max_value=3.0),
+        beta=st.floats(min_value=0.0, max_value=2.0),
+        t0=st.floats(min_value=0.1, max_value=5.0),
+        dt=st.floats(min_value=1e-3, max_value=0.2),
+        n_steps=st.integers(min_value=1, max_value=30),
+        record_every=st.integers(min_value=1, max_value=9),
+        seed=st.integers(min_value=0, max_value=2**32),
+        data=st.data(),
+    )
+    def test_bitwise_equal(self, name, forcing, c0, alpha, beta, t0, dt, n_steps,
+                           record_every, seed, data):
+        problem = _ARRAY_PROBLEMS[name]
+        dim = problem.dimension
+        vectors = st.lists(_FINITE, min_size=dim, max_size=dim)
+        x0, v0 = data.draw(vectors, label="x0"), data.draw(vectors, label="v0")
+        pert = {
+            "e1": lambda: PerturbationSpec.power(c0, 1.5),
+            "random": lambda: PerturbationSpec.power(c0, 0.5, direction="random", seed=seed),
+            "tuple": lambda: PerturbationSpec.power(
+                c0, 1.0, direction=tuple(data.draw(vectors.filter(any), label="direction"))),
+            "gauss": lambda: PerturbationSpec.gaussian(0.5, 0.1, seed=seed),
+        }[forcing]()
+        args = (problem, alpha, beta, pert, x0, v0)
+        kwargs = dict(t0=t0, t_end=t0 + n_steps * dt, dt=dt, record_every=record_every)
+        assert _outcome(integrate, *args, **kwargs) == _outcome(
+            _integrate_reference, *args, **kwargs)
+
+
+def _value_error(fn, *args, **kwargs):
+    with pytest.raises(ValueError) as info:
+        fn(*args, **kwargs)
+    return str(info.value)
+
+
+class TestPowerForcingErrors:
+    """Power forcing refuses what sample_continuous refuses, with its message."""
+
+    @pytest.mark.parametrize("name", ["example51", "example52"])
+    @pytest.mark.parametrize("spec, t0, message", [
+        (PerturbationSpec.power(0.1, 1.0), 0.0,
+         "power-decay perturbation needs t > 0, got 0.0"),
+        (PerturbationSpec.power(0.1, 1.0, direction="random"), -1.0,
+         "power-decay perturbation needs t > 0, got -1.0"),
+        # 0.1^400 underflows to 0, so c0/t^p is inf at the first stage
+        (PerturbationSpec.power(1.0, 400.0), 0.1,
+         "power perturbation c0/t^p = 1/0 = inf is not finite at t = 0.1, p = 400"),
+        (PerturbationSpec.power(1.0, 1.0, direction=(1.0, 1.0, 1.0)), 1.0,
+         "perturbation direction has length 3, expected {dim}"),
+        # the first stage's magnitude is refused before its direction
+        (PerturbationSpec.power(1.0, 400.0, direction=(1.0, 1.0, 1.0)), 0.1,
+         "power perturbation c0/t^p = 1/0 = inf is not finite at t = 0.1, p = 400"),
+    ], ids=["t0-zero", "t0-negative", "underflow", "direction-length", "underflow-first"])
+    def test_message(self, name, spec, t0, message):
+        problem = builtin_problem(name)
+        dim = problem.dimension
+        message = message.format(dim=dim)
+        args = (problem, 1.0, 0.1, spec, [3.0] * dim, [0.0] * dim)
+        kwargs = dict(t0=t0, t_end=t0 + 1.0, dt=1e-2)
+        assert _value_error(integrate, *args, **kwargs) == message
+        assert _value_error(_integrate_reference, *args, **kwargs) == message
+        assert _value_error(sample_continuous, spec, t0, dim, step=0) == message
+
+
 class TestFloatFormMatchesFallback:
     """example51's float form gives the records, blow-up time and message of
     the same problem without it, whose array func and grad integrate() wraps."""
@@ -403,11 +486,16 @@ class TestRandomDirectionForcing:
 
 class TestModuleAttributeContract:
     """integrate() looks sample_continuous up on the dynamics module at call
-    time; the benchmark's traced run replaces that name."""
+    time, and a random power direction calls counter_standard_normal through
+    the perturbations module; the benchmark's traced run replaces those names.
+    Gaussian forcing is one sample_continuous call per step; power forcing is
+    float magnitudes per stage and makes none."""
 
     @pytest.mark.parametrize("spec, per_step", [
         (PerturbationSpec.gaussian(0.01, 0.01, seed=1), 1),  # frozen per step
-        (PerturbationSpec.power(0.1, 1.0), 4),  # one per RK4 stage
+        (PerturbationSpec.power(0.1, 1.0), 0),  # float magnitudes per stage
+        (PerturbationSpec.power(0.1, 1.0, direction="random", seed=1), 0),
+        (PerturbationSpec.power(0.1, 1.0, direction=(-2.0,)), 0),
     ])
     def test_sample_calls(self, monkeypatch, sine_well, spec, per_step):
         calls = []
@@ -420,6 +508,26 @@ class TestModuleAttributeContract:
         monkeypatch.setattr(dynamics, "sample_continuous", counting)
         integrate(sine_well, 1.0, 0.1, spec, [3.0], [0.0], t0=1.0, t_end=1.1, dt=1e-2)
         assert calls == [j for j in range(10) for _ in range(per_step)]
+
+    @pytest.mark.parametrize("problem", [
+        builtin_problem("example51"), *_ARRAY_PROBLEMS.values(),
+    ], ids=["d1", "d2", "d9"])
+    @pytest.mark.parametrize("direction", ["e1", "random"])
+    def test_normal_calls(self, monkeypatch, problem, direction):
+        # a random direction is one standard normal per step, counter j + 1
+        calls = []
+        original = perturbations.counter_standard_normal
+
+        def counting(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(perturbations, "counter_standard_normal", counting)
+        dim = problem.dimension
+        spec = PerturbationSpec.power(0.1, 1.0, direction=direction, seed=5)
+        integrate(problem, 1.0, 0.1, spec, [3.0] * dim, [0.0] * dim,
+                  t0=1.0, t_end=1.1, dt=1e-2)
+        assert calls == ([(5, j + 1, dim) for j in range(10)] if direction == "random" else [])
 
 
 class TestRateCertificate:

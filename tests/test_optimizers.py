@@ -315,6 +315,19 @@ class TestRun:
         assert res.final.k == 20
         assert res.box_warnings
 
+    def test_infinite_lipschitz_warns_but_runs(self):
+        # no finite L, so no T41 box: IAA runs uncertified with one warning
+        quartic = Problem(dimension=1, func=lambda x: float(x[0] ** 2 / 2 + x[0] ** 4 / 4),
+                          grad=lambda x: x + x**3, gamma=1.0, lipschitz=math.inf,
+                          kappa=2.0, minimizer=[0.0], min_value=0.0)
+        cfg = AlgorithmConfig(variant="IAA", alpha=0.3, beta=0.2, s=0.1)
+        with pytest.warns(UserWarning, match="uncertified") as caught:
+            res = run(quartic, cfg, [1.0], stop=StoppingRule(tol=None, max_iter=20))
+        assert len(caught) == 1
+        assert res.final.k == 20
+        assert res.box_warnings == (
+            "outside T41 box: T41 needs a finite L, got L = inf; run is uncertified",)
+
     @pytest.mark.parametrize("case", ["alpha", "empty-beta", "beta", "step", "T42"])
     def test_box_warning_is_one_message(self, sine_well, monkeypatch, case):
         from inertiq import analysis
