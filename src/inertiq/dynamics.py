@@ -110,6 +110,10 @@ def integrate(
         raise ValueError("record_every must be a positive integer")
     if not (alpha > 0) or beta < 0:
         raise ValueError("integrate needs alpha > 0 and beta >= 0")
+    for label, value in (("t0", t0), ("t_end", t_end), ("dt", dt), ("alpha", alpha),
+                         ("beta", beta), ("the step count (t_end - t0)/dt", (t_end - t0) / dt)):
+        if not math.isfinite(value):
+            raise ValueError(f"{label} must be finite, got {value}")
 
     dim = problem.dimension
     ops = state_ops(problem)
@@ -169,17 +173,15 @@ def rate_certificate(
     """Check E(t) <= E(t0) exp(-(lam*kappa/2)(t - t0)) at every record.
 
     Returns (passed, worst_slack) where slack at a record is the bound
-    minus the observed energy (negative means violation).  Tolerance is
-    max(1e-6, 1e-6 * E(t0)).
+    minus the observed energy (negative or NaN means violation; one NaN
+    makes worst_slack NaN).  Tolerance is max(1e-6, 1e-6 * E(t0)).
     """
     if not records:
         raise ValueError("rate_certificate needs at least one record")
     t0 = records[0].t
     e0 = records[0].energy
     rate = 0.5 * lam * kappa
-    worst = float("inf")
-    for rec in records:
-        bound = e0 * math.exp(-rate * (rec.t - t0))
-        worst = min(worst, float(bound - rec.energy))
+    slacks = [float(e0 * math.exp(-rate * (rec.t - t0)) - rec.energy) for rec in records]
+    worst = math.nan if any(map(math.isnan, slacks)) else min(slacks)
     tol = max(1e-6, 1e-6 * e0)
     return bool(worst >= -tol), worst

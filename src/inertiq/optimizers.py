@@ -96,6 +96,9 @@ class AlgorithmConfig:
         h = getattr(self, step_size)
         if h is None or not (h > 0):
             raise ValueError(f"{self.variant} needs a positive step size {step_size}")
+        for name in ("alpha", "beta", "theta", step_size):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
 
 
 @dataclass(frozen=True)
@@ -137,7 +140,9 @@ class IterateRecord:
 
 @dataclass(frozen=True)
 class RunResult:
-    """Records plus the stopping trigger ("tol" or "max_iter") and totals."""
+    """Records plus the stopping trigger ("tol" or "max_iter") and totals;
+    box_warnings is empty exactly when the run is inside its theorem's box
+    (T41, or T42 if perturbed) or its variant has no box."""
 
     records: list[IterateRecord]
     trigger: str

@@ -60,7 +60,6 @@ class Problem:
     kappa: float | None = None
     minimizer: Vector | None = None
     min_value: float | None = None
-    name: str = "custom"
     float_form: tuple[Callable[[float], float], Callable[[float], float]] | None = None
 
     def __post_init__(self):
@@ -189,7 +188,6 @@ def _sine_well() -> Problem:
         lipschitz=6.0,
         minimizer=np.array([0.0]),
         min_value=0.0,
-        name="example51",
         float_form=(value, slope),
     )
 
@@ -222,7 +220,6 @@ def _arctan_basin() -> Problem:
         lipschitz=8.0,
         minimizer=np.array([0.0, 0.0]),
         min_value=-math.atan(5.0),
-        name="example52",
     )
 
 
@@ -231,7 +228,7 @@ def make_quadratic(spectrum: Sequence[float]) -> Problem:
 
     gamma = min(spectrum), L = max(spectrum), minimizer 0, optimal value 0.
     """
-    lam = np.asarray(list(spectrum), dtype=np.float64)
+    lam = np.array(spectrum, dtype=np.float64)
     if lam.ndim != 1 or lam.size == 0:
         raise ValueError("spectrum must be a nonempty sequence of reals")
     if not np.all(lam > 0):
@@ -253,7 +250,6 @@ def make_quadratic(spectrum: Sequence[float]) -> Problem:
         lipschitz=float(lam.max()),
         minimizer=np.zeros(d),
         min_value=0.0,
-        name=f"quadratic({d},{list(map(float, lam))})",
     )
 
 

@@ -224,13 +224,13 @@ def test_criterion_6_assumption_suite(sine_well):
     benchmark problems at 10^4 samples."""
     t0 = time.time()
     failures = []
-    for prob, box in ((sine_well, (-10.0, 10.0)),
-                      (builtin_problem("example52"), (-5.0, 5.0))):
+    for label, prob, box in (("example51", sine_well, (-10.0, 10.0)),
+                             ("example52", builtin_problem("example52"), (-5.0, 5.0))):
         reports = check_assumptions(prob, box, samples=10_000, seed=2024)
         for rep in reports:
             if not rep.passed:
                 failures.append(
-                    f"{prob.name}/{rep.assumption}: {rep.violations} violations "
+                    f"{label}/{rep.assumption}: {rep.violations} violations "
                     f"(worst {rep.worst_margin:.3e})"
                 )
     elapsed = time.time() - t0

@@ -4,6 +4,7 @@ import hashlib
 import re
 import textwrap
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -21,7 +22,7 @@ from inertiq import (
     run,
 )
 from inertiq.cli import _load_series, main
-from inertiq.experiments import render_summary, write_records_csv
+from inertiq.experiments import _t41_checks, render_summary, write_records_csv
 
 _NOISE = PerturbationSpec.gaussian(sigma0=0.001, decay=0.01)
 _NONE = PerturbationSpec.none()
@@ -211,6 +212,38 @@ class TestT41Checks:
     def test_out_of_box_run_has_none(self):
         summary = execute(self._single(0.45, 0.01))
         assert summary.checks == ()
+
+    def _doctored_checks(self, doctor):
+        """The check lines of an IAA run at fig12's coefficients, 30
+        iterations, after ``doctor`` edits its list of records."""
+        setup = replace(self._single(0.3, 0.2).runs[0], label="IAA")
+        problem = builtin_problem("example51")
+        result = run(problem, setup.config, setup.x0, stop=setup.stop)
+        doctored = replace(result, records=doctor(list(result.records)))
+        return [str(c) for c in _t41_checks(problem, setup, doctored)]
+
+    def test_violations_name_their_k(self):
+        # 1 - rho = 0.99942, so a 10x inflation of one record trips neither check
+        def doctor(recs):
+            recs[5] = replace(recs[5], energy=2.0 * recs[4].energy,
+                              value_error=2.0 * recs[1].energy)
+            return recs
+
+        assert self._doctored_checks(doctor) == [
+            "FAIL T41_energy_contraction[IAA] (rho=0.000577501, first violation after k=4)",
+            "FAIL T41_rate_bounds[IAA] (E1=9.03983, violated at k=5)",
+        ]
+
+    def test_nan_records_violate(self):
+        nan = float("nan")
+
+        def doctor(recs):
+            return [replace(r, value_error=nan, dist=nan, step=nan, energy=nan) for r in recs]
+
+        assert self._doctored_checks(doctor) == [
+            "FAIL T41_energy_contraction[IAA] (rho=0.000577501, first violation after k=1)",
+            "FAIL T41_rate_bounds[IAA] (E1=nan, violated at k=1)",
+        ]
 
     def test_other_errors_propagate(self, monkeypatch):
         from inertiq import analysis
@@ -603,6 +636,32 @@ class TestCli:
         code = main(["opt", "--step", "0.16666666666666666", "--x0", "3", "--max-iter", "3",
                      f"{flag}={value}"])
         assert code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"usage error: {message}\n"
+
+    @pytest.mark.parametrize("argv, message", [
+        (["ode", "--alpha", "1", "--x0", "3", "--t-end", "inf"], "t_end must be finite, got inf"),
+        (["ode", "--alpha", "1", "--x0", "3", "--t0=-inf", "--t-end", "1"],
+         "t0 must be finite, got -inf"),
+        (["ode", "--alpha", "1", "--x0", "3", "--t-end", "1", "--dt", "1e-320"],
+         "the step count (t_end - t0)/dt must be finite, got inf"),
+        (["ode", "--alpha", "1", "--x0", "3", "--t-end", "1", "--dt", "inf"],
+         "dt must be finite, got inf"),
+        (["ode", "--alpha", "inf", "--x0", "3", "--t-end", "1"], "alpha must be finite, got inf"),
+        (["ode", "--alpha", "1", "--beta", "inf", "--x0", "3", "--t-end", "1"],
+         "beta must be finite, got inf"),
+        # NaN is not < 0, so only the finiteness check catches it (it read as divergence)
+        (["ode", "--alpha", "1", "--beta", "nan", "--x0", "3", "--t-end", "1"],
+         "beta must be finite, got nan"),
+        (["opt", "--x0", "3", "--step", "0.16", "--alpha", "inf"], "alpha must be finite, got inf"),
+        (["opt", "--x0", "3", "--step", "0.16", "--beta", "inf"], "beta must be finite, got inf"),
+        (["opt", "--x0", "3", "--step", "0.16", "--theta", "inf"], "theta must be finite, got inf"),
+        (["opt", "--x0", "3", "--step", "inf"], "s must be finite, got inf"),
+        (["opt", "--x0", "3", "--algo", "hbm", "--beta", "inf"], "beta must be finite, got inf"),
+    ])
+    def test_non_finite_argument_is_a_usage_error(self, capsys, argv, message):
+        assert main(argv) == 2
         out, err = capsys.readouterr()
         assert out == ""
         assert err == f"usage error: {message}\n"

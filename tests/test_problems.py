@@ -133,6 +133,23 @@ class TestQuadratic:
         assert p.lipschitz == 10.0
         assert p.kappa == pytest.approx(0.05)  # defaults to gamma / L
 
+    def test_spectrum_is_copied(self):
+        spectrum = np.geomspace(0.1, 1.0, 2**16)
+        p = make_quadratic(spectrum)
+        assert spectrum.flags.writeable
+        x = np.ones(2**16)
+        before = p.grad(x).tobytes()
+        spectrum[:] = 7.0
+        assert p.grad(x).tobytes() == before
+        assert (p.gamma, p.lipschitz) == (0.1, 1.0)
+
+    def test_list_and_array_agree(self):
+        values = [0.1, 0.5, 1.0, 2.0, 4.0]
+        x = np.array([3.0, -2.0, 0.5, 1e-3, 7.0])
+        a, b = make_quadratic(values), make_quadratic(np.array(values))
+        assert struct.pack("2d", a.gamma, a.lipschitz) == struct.pack("2d", b.gamma, b.lipschitz)
+        assert a.grad(x).tobytes() == b.grad(x).tobytes()
+
     def test_rejects_nonpositive_spectrum(self):
         with pytest.raises(ValueError):
             make_quadratic([1.0, 0.0])
