@@ -39,7 +39,9 @@ from .perturbations import (
     power_magnitude,
     sample_continuous,
 )
-from .problems import Problem, StateOps, Vector, as_point, state_ops
+from .problems import Problem, Vector, as_point, state_ops
+
+MAX_RECORDS = 10**6  # the most records one integrate() call keeps
 
 
 @dataclass(frozen=True)
@@ -67,22 +69,6 @@ def _accel(grad, alpha: float, beta: float, x, v, eps=None):
     return a if eps is None else a + eps
 
 
-def _make_record(
-    ops: StateOps, problem: Problem, alpha: float, beta: float, t: float, x, v
-) -> TrajectoryRecord:
-    """The record of state (x, v) at time t, which owns ``ops.point`` copies."""
-    lookahead = ops.func(x + beta * v)
-    if problem.minimizer is not None and problem.min_value is not None:
-        value_error = lookahead - problem.min_value
-        diff = x - ops.state(problem.minimizer)
-        traj_error = math.sqrt(ops.sqnorm(diff))
-        energy = _continuous_energy(problem, alpha, value_error, diff, v, ops.sqnorm)
-    else:
-        value_error, traj_error, energy = lookahead, float("nan"), float("nan")
-    return TrajectoryRecord(t, ops.point(x), ops.point(v), value_error, traj_error,
-                            math.sqrt(ops.sqnorm(v)), energy)
-
-
 def integrate(
     problem: Problem,
     alpha: float,
@@ -99,7 +85,8 @@ def integrate(
 
     Records every ``record_every``-th step plus the initial and final
     states.  Raises :class:`Divergence` (with the blow-up time) as soon as
-    |x| or |v| exceeds 1e12.  Pure function of its arguments including the
+    |x| or |v| exceeds 1e12, and refuses a run that would keep more than
+    ``MAX_RECORDS`` records.  Pure function of its arguments including the
     perturbation seed.
     """
     if not (dt > 0):
@@ -110,17 +97,23 @@ def integrate(
         raise ValueError("record_every must be a positive integer")
     if not (alpha > 0) or beta < 0:
         raise ValueError("integrate needs alpha > 0 and beta >= 0")
+    count = (t_end - t0) / dt
     for label, value in (("t0", t0), ("t_end", t_end), ("dt", dt), ("alpha", alpha),
-                         ("beta", beta), ("the step count (t_end - t0)/dt", (t_end - t0) / dt)):
+                         ("beta", beta), ("the step count (t_end - t0)/dt", count)):
         if not math.isfinite(value):
             raise ValueError(f"{label} must be finite, got {value}")
+    # Records are what a run keeps, about 0.5 kB each at d = 1: bound their
+    # number before the first step rather than run until memory is gone.
+    if count / record_every > MAX_RECORDS:
+        raise ValueError("the record count (t_end - t0)/(dt*record_every) must be at most "
+                         f"{MAX_RECORDS}, got {count / record_every:g}")
 
     dim = problem.dimension
     ops = state_ops(problem)
     grad, state, peak = ops.grad, ops.state, ops.peak
     # Private copies, rebound to fresh states each step: records own theirs.
     x, v = state(as_point(x0, dim).copy()), state(as_point(v0, dim).copy())
-    n_steps = max(1, int(round((t_end - t0) / dt)))
+    n_steps = max(1, int(round(count)))
     half = 0.5 * dt
     sixth = dt / 6.0
 
@@ -129,7 +122,25 @@ def integrate(
     redraw = power and pert.direction == "random"  # a new direction every step
     e1 = e2 = e4 = None  # the forcing at stage 1, stages 2 and 3, and stage 4
 
-    records = [_make_record(ops, problem, alpha, beta, t0, x, v)]
+    func, point, sqnorm = ops.func, ops.point, ops.sqnorm
+    fstar = problem.min_value
+    known = problem.minimizer is not None and fstar is not None
+    xstar = state(problem.minimizer) if known else None
+
+    def make_record(t: float, x, v) -> TrajectoryRecord:
+        """The record of state (x, v) at time t, which owns ``point`` copies."""
+        lookahead = func(x + beta * v)
+        if known:
+            value_error = lookahead - fstar
+            diff = x - xstar
+            traj_error = math.sqrt(sqnorm(diff))
+            energy = _continuous_energy(problem, alpha, value_error, diff, v, sqnorm)
+        else:
+            value_error, traj_error, energy = lookahead, float("nan"), float("nan")
+        return TrajectoryRecord(t, point(x), point(v), value_error, traj_error,
+                                math.sqrt(sqnorm(v)), energy)
+
+    records = [make_record(t0, x, v)]
     if power:  # the first stage time, as the loop computes it; later ones are larger
         _positive_time(t0 + 0 * dt)
     for j in range(n_steps):
@@ -163,7 +174,7 @@ def integrate(
                 when=t_next,
             )
         if (j + 1) % record_every == 0 or j + 1 == n_steps:
-            records.append(_make_record(ops, problem, alpha, beta, t_next, x, v))
+            records.append(make_record(t_next, x, v))
     return records
 
 

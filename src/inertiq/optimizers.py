@@ -15,9 +15,10 @@ continuous coefficients map to the discrete ones as
 alpha_disc = 1 - alpha_cont*sqrt(s), beta_disc = beta_cont/sqrt(s).
 Startup convention x_{-1} := x_0, so momentum terms vanish when x_0 = x_1.
 ``run`` records, counts and stops every iterate, x_0 and x_1 included, in
-one loop.  Each record evaluates g_k once and keeps it only for the steps
+one loop.  Each record forms d once, for its step length and for the
+update that follows, and evaluates g_k once, keeping it only for the steps
 that read it (HBM, HBM_H, NAG_H), and g_{k-1} only for HBM_H and NAG_H;
-g_0 is record 0's gradient.  At d = 1 the loop holds x_{k-1}, x_k, g_k,
+g_0 is record 0's gradient.  At d = 1 the loop holds x_k, d, g_k,
 g_{k-1} and eps_k as Python floats (:func:`inertiq.problems.state_ops`),
 the same IEEE-754 operations as 1-element arrays, and takes f and grad f
 from the problem's float form where it has one; only a record's own x is
@@ -161,32 +162,37 @@ def step_iaa(
     grad: Callable[[Vector], Vector],
     cfg: AlgorithmConfig,
     x_k: Vector,
-    x_km1: Vector,
+    d_k: Vector,
     eps_k: Vector | None = None,
 ) -> Vector:
-    """One IAA update with gradient ``grad``; pure function of its arguments.
+    """One IAA update from x_k and d_k = x_k - x_{k-1}; pure function of its
+    arguments.
 
-    Points, gradients and eps_k are all float arrays or all Python floats.
+    Points, gradients and eps_k are all float arrays or all Python floats;
+    on arrays the update is built in place on one fresh array, as in
+    :func:`step_baseline`.
     """
-    d = x_k - x_km1
-    y = x_k + cfg.alpha * d
-    z = x_k + cfg.beta * d
-    x_next = y - cfg.s * grad(z)
+    y = cfg.alpha * d_k
+    y += x_k
+    z = cfg.beta * d_k
+    z += x_k
+    y -= cfg.s * grad(z)
     if eps_k is not None and np.count_nonzero(eps_k):
-        x_next = x_next + cfg.s * eps_k
-    return x_next
+        y += cfg.s * eps_k
+    return y
 
 
 def step_baseline(
     grad: Callable[[Vector], Vector],
     cfg: AlgorithmConfig,
     x_k: Vector,
-    x_km1: Vector,
+    d_k: Vector,
     g_k: Vector,
     g_km1: Vector,
     eps_k: Vector | None = None,
 ) -> Vector:
-    """One baseline update from x_k, x_{k-1}, g_k and g_{k-1}; returns x_{k+1}.
+    """One baseline update from x_k, d_k = x_k - x_{k-1}, g_k and g_{k-1};
+    returns x_{k+1}.
 
     g_k = grad f(x_k) is read, never evaluated: the only ``grad`` call is at
     y_k for NAG/NAG_H.  Points, gradients and eps_k are all float arrays or
@@ -199,8 +205,7 @@ def step_baseline(
     # In place on one fresh array: fewer 512 KB temporaries at large d
     # (README, "Performance"), and the same IEEE-754 operations as
     # x_k + alpha*d - beta*g, so the same bits.  On floats each one rebinds y.
-    y = x_k - x_km1
-    y *= cfg.alpha
+    y = cfg.alpha * d_k
     y += x_k
     if method.hessian_correction:
         y -= cfg.theta * (g_k - g_km1)
@@ -244,7 +249,7 @@ def run(
     stop = stop or StoppingRule()
     dim = problem.dimension
     grad, func, state, point, peak, sqnorm = state_ops(problem)
-    x_prev = state(as_point(x0, dim).copy())
+    x_0 = state(as_point(x0, dim).copy())
     x_cur = state(as_point(x1 if x1 is not None else x0, dim).copy())
 
     box_warnings = validate_against_box(problem, cfg)
@@ -253,6 +258,9 @@ def run(
 
     fstar = problem.min_value
     xstar = None if problem.minimizer is None else state(problem.minimizer)
+    # x - 0 is x up to a zero's sign, which the square drops: at x* = 0 the
+    # distance needs no subtraction.
+    xstar_is_zero = xstar is not None and not problem.minimizer.any()
     use_value = fstar is not None
     c_energy = None
     if cfg.variant == "IAA" and use_value and cfg.alpha > 0:
@@ -263,13 +271,15 @@ def run(
     keeps_prev = method.hessian_correction
     records: list[IterateRecord] = []
 
-    def make_record(k: int, x: Vector, x_before: Vector) -> Vector | None:
-        """Append iterate k's record; return g_k = grad f(x_k) if the step reads it."""
+    def make_record(k: int, x: Vector, d: Vector) -> Vector | None:
+        """Append the record of iterate k, d = x_k - x_{k-1}; return
+        g_k = grad f(x_k) if the step reads it."""
         fx = func(x)
         gx = grad(x)
         value_error = fx - fstar if use_value else fx
-        step = math.sqrt(sqnorm(x - x_before))
-        dist = math.sqrt(sqnorm(x - xstar)) if xstar is not None else float("nan")
+        step = math.sqrt(sqnorm(d))
+        dist = (float("nan") if xstar is None
+                else math.sqrt(sqnorm(x if xstar_is_zero else x - xstar)))
         if c_energy is not None and c_energy > 0:
             energy = analysis._discrete_energy(value_error, c_energy, step)
         elif c_energy == 0.0:
@@ -296,16 +306,17 @@ def run(
         metric = rec.value_error if use_value else rec.grad_norm
         return metric <= stop.tol
 
-    g_cur = make_record(0, x_prev, x_prev)
-    g_prev, g_cur = (g_cur if keeps_prev else None), make_record(1, x_cur, x_prev)
+    g_cur = make_record(0, x_0, x_0 - x_0)
+    d = x_cur - x_0
+    g_prev, g_cur = (g_cur if keeps_prev else None), make_record(1, x_cur, d)
     sample_noise = not cfg.perturb.is_zero
     k = 1
     while k < stop.max_iter and not hit_tol(records[-1]):
         eps = state(sample_discrete(cfg.perturb, k, dim)) if sample_noise else None
         if cfg.variant == "IAA":
-            x_next = step_iaa(grad, cfg, x_cur, x_prev, eps)
+            x_next = step_iaa(grad, cfg, x_cur, d, eps)
         else:
-            x_next = step_baseline(grad, cfg, x_cur, x_prev, g_cur, g_prev, eps)
+            x_next = step_baseline(grad, cfg, x_cur, d, g_cur, g_prev, eps)
         # NaN propagates through max and fails the comparison, as inf does.
         xmax = peak(x_next)
         if not xmax <= BLOWUP_NORM:
@@ -313,8 +324,9 @@ def run(
                 f"iterates blew up at k = {k + 1} (|x| = {xmax:.3g})", when=k + 1
             )
         k += 1
-        x_prev, x_cur = x_cur, x_next
-        g_prev, g_cur = (g_cur if keeps_prev else None), make_record(k, x_cur, x_prev)
+        d = x_next - x_cur
+        x_cur = x_next
+        g_prev, g_cur = (g_cur if keeps_prev else None), make_record(k, x_cur, d)
     # tol wins over max_iter when the last record meets both.
     trigger = "tol" if hit_tol(records[-1]) else "max_iter"
     return RunResult(records, trigger, records[-1].n_grad_evals, tuple(box_warnings))

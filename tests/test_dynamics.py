@@ -23,6 +23,7 @@ from inertiq.cli import main
 from inertiq.dynamics import TrajectoryRecord
 from inertiq.errors import BLOWUP_NORM, Divergence
 from inertiq.problems import Problem, as_point
+from problem_helpers import shifted_quadratic
 
 
 @pytest.fixture(scope="module")
@@ -400,6 +401,52 @@ class TestArrayStateMatchesReference:
         kwargs = dict(t0=t0, t_end=t0 + n_steps * dt, dt=dt, record_every=record_every)
         assert _outcome(integrate, *args, **kwargs) == _outcome(
             _integrate_reference, *args, **kwargs)
+
+
+class TestRecordsAgainstMinimizer:
+    """integrate() states x* once per run; records against a nonzero x*, on
+    floats at d = 1 and on arrays, have the reference's bits."""
+
+    @pytest.mark.parametrize("problem", [
+        shifted_quadratic([2.5], [1.5]),
+        shifted_quadratic([0.5, 1.5, 3.0], [1.0, -2.0, 0.5]),
+        shifted_quadratic([0.5, 1.5, 3.0], [0.0, -2.0, 0.0]),
+    ], ids=["shifted1", "shifted3", "partly-zero3"])
+    @pytest.mark.parametrize("pert", [PerturbationSpec.none(),
+                                      PerturbationSpec.gaussian(0.5, 0.1, seed=4)],
+                             ids=["none", "gauss"])
+    def test_bitwise_equal(self, problem, pert):
+        dim = problem.dimension
+        for x0, v0 in (([3.0] * dim, [0.0] * dim), ([-0.0] * dim, [-0.0] * dim)):
+            args = (problem, 1.0, 0.1, pert, x0, v0)
+            kwargs = dict(t0=0.5, t_end=2.5, dt=0.05, record_every=3)
+            assert _outcome(integrate, *args, **kwargs) == _outcome(
+                _integrate_reference, *args, **kwargs)
+
+
+class TestRecordCountBound:
+    """A run keeps at most MAX_RECORDS records; integrate refuses a longer one
+    before it starts a step, rather than run until memory is gone."""
+
+    @pytest.mark.parametrize("t0, t_end, dt, record_every", [
+        (0.0, 1e300, 1.0, 1), (0.0, 1e15, 1.0, 1), (1.0, 2.0, 2.0**-60, 1),
+        (0.0, dynamics.MAX_RECORDS + 2.0, 1.0, 1), (0.0, 1e12, 1e-3, 10**8),
+    ])
+    def test_integrate_refuses(self, sine_well, t0, t_end, dt, record_every):
+        with pytest.raises(ValueError, match=r"^the record count \(t_end - t0\)/"
+                                             r"\(dt\*record_every\) must be at most "
+                                             r"1000000, got "):
+            integrate(sine_well, 1.0, 0.1, PerturbationSpec.none(), [3.0], [0.0],
+                      t0=t0, t_end=t_end, dt=dt, record_every=record_every)
+
+    @pytest.mark.parametrize("t_end, shown", [("1e300", "1e+300"), ("1e15", "1e+15")])
+    def test_ode_is_a_usage_error(self, capsys, t_end, shown):
+        code = main(["ode", "--alpha", "1", "--x0", "3", "--t-end", t_end, "--dt", "1"])
+        assert code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == ("usage error: the record count (t_end - t0)/(dt*record_every) must be "
+                       f"at most 1000000, got {shown}\n")
 
 
 def _value_error(fn, *args, **kwargs):

@@ -28,6 +28,7 @@ from inertiq import analysis, optimizers
 from inertiq.errors import BLOWUP_NORM, Divergence
 from inertiq.optimizers import METHODS, IterateRecord, RunResult
 from inertiq.problems import Problem, as_point, state_ops
+from problem_helpers import shifted_quadratic
 
 
 @pytest.fixture(scope="module")
@@ -60,13 +61,13 @@ class TestStepIaa:
     def test_fixed_point(self, sine_well):
         cfg = AlgorithmConfig(**IAA_BENCH)
         xstar = np.array([0.0])
-        np.testing.assert_array_equal(step_iaa(sine_well.grad, cfg, xstar, xstar), xstar)
+        np.testing.assert_array_equal(step_iaa(sine_well.grad, cfg, xstar, xstar - xstar), xstar)
 
     def test_equal_iterates_step(self, sine_well):
         # x1 = x0 = 3: momentum vanishes, x2 = 3 - s grad f(3)
         cfg = AlgorithmConfig(**IAA_BENCH)
         x = np.array([3.0])
-        x2 = step_iaa(sine_well.grad, cfg, x, x)
+        x2 = step_iaa(sine_well.grad, cfg, x, x - x)
         expected = 3.0 - (6.0 + 2.0 * math.sin(6.0)) / 6.0
         assert x2[0] == pytest.approx(expected, rel=1e-15)
         assert x2[0] == pytest.approx(2.093139, abs=1e-6)
@@ -78,7 +79,7 @@ class TestStepIaa:
         xk, xk1 = np.array([2.0]), np.array([1.5])
         z = xk + cfg.beta * (xk - xk1)
         eps = sine_well.grad(z)
-        x2 = step_iaa(sine_well.grad, cfg, xk, xk1, eps)
+        x2 = step_iaa(sine_well.grad, cfg, xk, xk - xk1, eps)
         y = xk + cfg.alpha * (xk - xk1)
         np.testing.assert_allclose(x2, y, rtol=1e-12)
 
@@ -88,14 +89,14 @@ class TestStepBaseline:
         cfg = AlgorithmConfig(variant="HBM", alpha=0.7, beta=1.0 / 24.0)
         xstar = np.array([0.0])
         g = sine_well.grad(xstar)
-        x2 = step_baseline(sine_well.grad, cfg, xstar, xstar, g, g)
+        x2 = step_baseline(sine_well.grad, cfg, xstar, xstar - xstar, g, g)
         np.testing.assert_array_equal(x2, xstar)
 
     def test_hbm_equal_iterates(self, sine_well):
         cfg = AlgorithmConfig(variant="HBM", alpha=0.7, beta=1.0 / 24.0)
         x = np.array([3.0])
         g = sine_well.grad(x)
-        x2 = step_baseline(sine_well.grad, cfg, x, x, g, g)
+        x2 = step_baseline(sine_well.grad, cfg, x, x - x, g, g)
         expected = 3.0 - (6.0 + 2.0 * math.sin(6.0)) / 24.0
         assert x2[0] == pytest.approx(expected, rel=1e-15)
         assert x2[0] == pytest.approx(2.773285, abs=1e-6)
@@ -105,14 +106,15 @@ class TestStepBaseline:
         hess = AlgorithmConfig(variant="HBM_H", alpha=0.7, beta=1.0 / 24.0, theta=0.0)
         xk, xk1 = np.array([2.0]), np.array([2.5])
         gk, gk1 = sine_well.grad(xk), sine_well.grad(xk1)
-        a = step_baseline(sine_well.grad, plain, xk, xk1, gk, gk1)
-        b = step_baseline(sine_well.grad, hess, xk, xk1, gk, gk1)
+        a = step_baseline(sine_well.grad, plain, xk, xk - xk1, gk, gk1)
+        b = step_baseline(sine_well.grad, hess, xk, xk - xk1, gk, gk1)
         np.testing.assert_array_equal(a, b)
 
     def test_nag_uses_extrapolated_gradient(self, sine_well):
         cfg = AlgorithmConfig(variant="NAG", alpha=0.7, beta=1.0 / 24.0)
         xk, xk1 = np.array([2.0]), np.array([2.5])
-        x2 = step_baseline(sine_well.grad, cfg, xk, xk1, sine_well.grad(xk), sine_well.grad(xk1))
+        x2 = step_baseline(sine_well.grad, cfg, xk, xk - xk1, sine_well.grad(xk),
+                           sine_well.grad(xk1))
         y = xk + 0.7 * (xk - xk1)
         np.testing.assert_allclose(x2, y - cfg.beta * sine_well.grad(y), rtol=1e-15)
 
@@ -165,9 +167,48 @@ class TestStepBaselineMatchesReference:
         eps = data.draw(st.none() | st.just(np.zeros(dim)) | vec)
         problem = _PROBLEM_BY_DIM[dim]
         cfg = AlgorithmConfig(variant=variant, alpha=alpha, beta=beta, theta=theta)
-        x_next = step_baseline(problem.grad, cfg, x_k, x_km1, problem.grad(x_k), g_km1, eps)
+        x_next = step_baseline(problem.grad, cfg, x_k, x_k - x_km1, problem.grad(x_k), g_km1,
+                               eps)
         ref_next, _ = _step_baseline_reference(problem, cfg, x_k, x_km1, g_km1, eps)
         assert x_next.tobytes() == ref_next.tobytes()
+
+
+def _step_iaa_reference(grad, cfg, x_k, x_km1, eps_k=None):
+    """The out-of-place IAA update from x_k and x_{k-1}, kept as the reference
+    that ``step_iaa`` on d_k = x_k - x_{k-1} must equal bit for bit."""
+    d = x_k - x_km1
+    y = x_k + cfg.alpha * d
+    z = x_k + cfg.beta * d
+    x_next = y - cfg.s * grad(z)
+    if eps_k is not None and np.count_nonzero(eps_k):
+        x_next = x_next + cfg.s * eps_k
+    return x_next
+
+
+class TestStepIaaMatchesReference:
+    @settings(max_examples=300, database=None, derandomize=True)
+    @given(
+        dim=st.sampled_from([1, 2, 5]),
+        alpha=st.floats(min_value=0.0, max_value=2.0),
+        beta=st.floats(min_value=0.0, max_value=2.0),
+        s=st.floats(min_value=1e-6, max_value=1.0),
+        data=st.data(),
+    )
+    def test_bitwise_equal(self, dim, alpha, beta, s, data):
+        coord = st.floats(min_value=-10.0, max_value=10.0)
+        problem = _PROBLEM_BY_DIM[dim]
+        cfg = AlgorithmConfig(variant="IAA", alpha=alpha, beta=beta, s=s)
+        if dim == 1:  # run() holds one-dimensional state as Python floats
+            vec, zero, grad = coord, st.just(0.0), state_ops(problem).grad
+        else:
+            vec = st.lists(coord, min_size=dim, max_size=dim).map(np.array)
+            zero, grad = st.just(np.zeros(dim)), problem.grad
+        x_k, x_km1 = data.draw(vec), data.draw(vec)
+        eps = data.draw(st.none() | zero | vec)
+        x_next = step_iaa(grad, cfg, x_k, x_k - x_km1, eps)
+        ref_next = _step_iaa_reference(grad, cfg, x_k, x_km1, eps)
+        assert type(x_next) is type(ref_next)
+        assert np.asarray(x_next).tobytes() == np.asarray(ref_next).tobytes()
 
 
 class TestGradientCalls:
@@ -674,14 +715,75 @@ class TestFloatStateMatchesReference:
             return None if v is None else np.array([v])
 
         if variant == "IAA":
-            on_floats = step_iaa(grad, cfg, x_k, x_km1, eps)
-            on_arrays = step_iaa(sine_well.grad, cfg, vec(x_k), vec(x_km1), vec(eps))
+            on_floats = step_iaa(grad, cfg, x_k, x_k - x_km1, eps)
+            on_arrays = step_iaa(sine_well.grad, cfg, vec(x_k), vec(x_k) - vec(x_km1), vec(eps))
         else:
-            on_floats = step_baseline(grad, cfg, x_k, x_km1, grad(x_k), g_km1, eps)
-            on_arrays = step_baseline(sine_well.grad, cfg, vec(x_k), vec(x_km1),
+            on_floats = step_baseline(grad, cfg, x_k, x_k - x_km1, grad(x_k), g_km1, eps)
+            on_arrays = step_baseline(sine_well.grad, cfg, vec(x_k), vec(x_k) - vec(x_km1),
                                       sine_well.grad(vec(x_k)), vec(g_km1), vec(eps))
         assert type(on_floats) is float
         assert struct.pack("<d", on_floats) == on_arrays.tobytes()
+
+
+_WIDE_PROBLEMS = {
+    "example52": builtin_problem("example52"),
+    "quadratic5": make_quadratic([0.1, 0.5, 1.0, 2.0, 4.0]),
+    "shifted3": shifted_quadratic([0.5, 1.5, 3.0], [1.0, -2.0, 0.5]),
+    "negzero3": dataclasses.replace(make_quadratic([0.5, 1.5, 3.0]), minimizer=[-0.0] * 3),
+}
+
+
+class TestArrayStateMatchesReference:
+    """At d >= 2 run() forms d_k = x_k - x_{k-1} once per iterate, for the
+    record's step and the update, and takes |x| for |x - x*| when x* is all
+    zeros; records, triggers, counts and blow-ups equal the reference loop,
+    which subtracts x_{k-1} and x* every time, bit for bit."""
+
+    @settings(max_examples=200, database=None, derandomize=True, deadline=None)
+    @given(
+        name=st.sampled_from(sorted(_WIDE_PROBLEMS)),
+        variant=st.sampled_from(VARIANTS),
+        forcing=st.sampled_from(["none", "gauss", "e1", "random"]),
+        alpha=st.floats(min_value=0.0, max_value=1.5),
+        beta=st.floats(min_value=1e-3, max_value=3.0),  # up to blow-ups
+        s=st.floats(min_value=1e-3, max_value=3.0),
+        theta=st.floats(min_value=0.0, max_value=1.0),
+        tol=st.none() | st.floats(min_value=1e-12, max_value=1e-2),
+        max_iter=st.integers(min_value=1, max_value=40),
+        seed=st.integers(min_value=0, max_value=2**32),
+        data=st.data(),
+    )
+    def test_bitwise_equal(self, name, variant, forcing, alpha, beta, s, theta, tol,
+                           max_iter, seed, data):
+        problem = _WIDE_PROBLEMS[name]
+        point = st.lists(st.floats(min_value=-5.0, max_value=5.0) | st.just(-0.0),
+                         min_size=problem.dimension, max_size=problem.dimension)
+        x0, x1 = data.draw(point), data.draw(st.none() | point)
+        perturb = {
+            "none": PerturbationSpec.none(),
+            "gauss": PerturbationSpec.gaussian(0.5, 0.1, seed=seed),
+            "e1": PerturbationSpec.power(0.3, 1.5),
+            "random": PerturbationSpec.power(0.3, 1.5, direction="random", seed=seed),
+        }[forcing]
+        cfg = AlgorithmConfig(variant, alpha=alpha, beta=beta, theta=theta,
+                              s=s if variant == "IAA" else None, perturb=perturb)
+        args = (problem, cfg, x0, x1, StoppingRule(tol=tol, max_iter=max_iter))
+        assert _run_outcome(run, *args) == _run_outcome(_run_reference, *args)
+
+    @pytest.mark.parametrize("name", sorted(_WIDE_PROBLEMS))
+    def test_every_ending_is_reached(self, name):
+        # At step 3 against a largest curvature of 3 to 4 every variant blows
+        # up; at step 0.1 some variants reach tol.
+        problem = _WIDE_PROBLEMS[name]
+        x0 = [3.0] * problem.dimension
+        endings = set()
+        for variant, step in itertools.product(VARIANTS, (0.1, 3.0)):
+            cfg = AlgorithmConfig(variant, alpha=0.3, beta=step, theta=0.05, s=step)
+            args = (problem, cfg, x0, None, StoppingRule(tol=1e-10, max_iter=2000))
+            outcome = _run_outcome(run, *args)
+            assert outcome == _run_outcome(_run_reference, *args)
+            endings.add(outcome[0] if outcome[0] == "Divergence" else outcome[1])
+        assert {"Divergence", "tol"} <= endings
 
 
 class TestFloatFormMatchesFallback:
