@@ -32,6 +32,7 @@ from .optimizers import (
     RunResult,
     StoppingRule,
     run,
+    run_seeds,
     step_baseline,
     step_iaa,
 )
@@ -79,6 +80,7 @@ __all__ = [
     "rate_constants",
     "read_config",
     "run",
+    "run_seeds",
     "sample_continuous",
     "sample_discrete",
     "step_baseline",

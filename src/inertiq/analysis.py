@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import OutOfBox
-from .problems import Problem, as_point
+from .problems import Problem, as_point, rows_form
 
 THEOREMS = ("T31", "T32", "T41", "T42")
 
@@ -272,8 +272,10 @@ def check_assumptions(
     and quasar convexity <grad f(x), x - x*> >= kappa (f - f*).
 
     A sample passes a check when its slack is at least -1e-9; a NaN slack
-    is a violation.  ``func`` and ``grad`` are called once per sampled
-    point.  Deterministic in (seed, samples, box).
+    is a violation.  f and grad f are evaluated on all sampled points at
+    once, through :func:`inertiq.problems.rows_form`, with the bits of one
+    ``func`` or ``grad`` call per point.  Deterministic in (seed, samples,
+    box).
     """
     if problem.minimizer is None or problem.min_value is None:
         raise ValueError("check_assumptions needs minimizer and min_value")
@@ -286,11 +288,7 @@ def check_assumptions(
     fstar = problem.min_value
     gamma, L, kappa = problem.gamma, problem.lipschitz, problem.kappa
 
-    def values(points):
-        return np.fromiter(map(problem.func, points), np.float64, len(points))
-
-    def grads(points):
-        return np.fromiter(map(problem.grad, points), (np.float64, dim), len(points))
+    values, grads = rows_form(problem)
 
     # Row dot products are np.vecdot: it equals a per-point np.dot bit for
     # bit; (a*b).sum(1) and einsum round differently.

@@ -235,7 +235,9 @@ def cmd_exp(args) -> int:
         cfg = experiments.read_config(target)
     else:
         raise ValueError(f"{target!r} is neither a preset nor a config file")
-    if args.seeds:
+    if args.seeds is not None:
+        if not any(r.config.perturb.is_stochastic for r in cfg.runs):
+            raise ValueError(f"--seeds would be ignored: no run of {target} is stochastic")
         cfg = dataclasses.replace(cfg, seeds=experiments.parse_numbers(args.seeds, int))
     summary = experiments.execute(cfg, out_dir=args.out_dir)
     if not args.quiet:

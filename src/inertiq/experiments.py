@@ -27,7 +27,15 @@ import numpy as np
 
 from . import analysis, rates
 from .errors import InsufficientData
-from .optimizers import ALGO_NAMES, METHODS, AlgorithmConfig, RunResult, StoppingRule, run
+from .optimizers import (
+    ALGO_NAMES,
+    METHODS,
+    AlgorithmConfig,
+    RunResult,
+    StoppingRule,
+    run,
+    run_seeds,
+)
 from .perturbations import (
     PerturbationSpec,
     format_perturbation,
@@ -58,6 +66,8 @@ class ExperimentConfig:
             raise ValueError(f"run labels must be unique, got {labels}")
         if not self.seeds:
             raise ValueError("seeds must not be empty")
+        if len(self.seeds) != len(set(self.seeds)):
+            raise ValueError(f"seeds must be unique, got {list(self.seeds)}")
 
 
 @dataclass(frozen=True)
@@ -257,8 +267,9 @@ def execute(
 
     Deterministic runs (perturbation independent of the seed) execute once;
     stochastic runs execute once per seed with the seed threaded into the
-    perturbation.  Writes one CSV per executed run plus summary.txt and
-    checks.txt exactly when ``out_dir`` is given.
+    perturbation, all seeds of one run in lockstep
+    (:func:`inertiq.optimizers.run_seeds`).  Writes one CSV per executed run
+    plus summary.txt and checks.txt exactly when ``out_dir`` is given.
     """
     problem = builtin_problem(cfg.problem)
     out = Path(out_dir) if out_dir is not None else None
@@ -270,13 +281,21 @@ def execute(
     notes: list[str] = []
     for setup in cfg.runs:
         seeds = cfg.seeds if setup.config.perturb.is_stochastic else (None,)
+        # Several seeds step in lockstep; run_seeds yields their results in
+        # seed order, each built and its box warnings issued when it is due.
+        block = None
+        if len(seeds) > 1:
+            block = run_seeds(problem, setup.config, seeds, setup.x0, stop=setup.stop)
         for seed in seeds:
             run_cfg = setup.config
             if seed is not None:
                 run_cfg = replace(run_cfg, perturb=run_cfg.perturb.with_seed(seed))
             with warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter("always")
-                result = run(problem, run_cfg, setup.x0, stop=setup.stop)
+                if block is None:
+                    result = run(problem, run_cfg, setup.x0, stop=setup.stop)
+                else:
+                    result = next(block)
             for w in caught:
                 notes.append(f"{setup.label}: {w.message}")
             series = [(r.k, r.value_error) for r in result.records]

@@ -23,6 +23,12 @@ g_{k-1} and eps_k as Python floats (:func:`inertiq.problems.state_ops`),
 the same IEEE-754 operations as 1-element arrays, and takes f and grad f
 from the problem's float form where it has one; only a record's own x is
 a fresh 1-element array.
+
+``run_seeds`` is the block engine: it steps one configuration for many
+perturbation seeds at once, one row of an (n, d) array per seed, through
+the same step functions and the problem's rows form
+(:func:`inertiq.problems.rows_form`), and gives each seed's ``run`` result
+bit for bit.
 """
 
 from __future__ import annotations
@@ -30,14 +36,14 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
 from . import analysis
 from .errors import BLOWUP_NORM, Divergence, OutOfBox
-from .perturbations import PerturbationSpec, sample_discrete
-from .problems import Problem, Vector, as_point, state_ops
+from .perturbations import PerturbationSpec, sample_discrete, sample_discrete_rows
+from .problems import Problem, Vector, as_point, rows_form, state_ops
 
 
 class Method(NamedTuple):
@@ -330,3 +336,152 @@ def run(
     # tol wins over max_iter when the last record meets both.
     trigger = "tol" if hit_tol(records[-1]) else "max_iter"
     return RunResult(records, trigger, records[-1].n_grad_evals, tuple(box_warnings))
+
+
+def run_seeds(
+    problem: Problem,
+    cfg: AlgorithmConfig,
+    seeds: Sequence[int],
+    x0,
+    x1=None,
+    stop: StoppingRule | None = None,
+) -> Iterator[RunResult]:
+    """Yield ``run(problem, cfg with perturbation seed s, x0, x1, stop)`` for
+    each seed s, in seed order and bit for bit, from one lockstep loop.
+
+    Row i of each (n, d) block is seed i's iterate; ``step_iaa`` or
+    ``step_baseline`` and ``sample_discrete_rows`` are called once per
+    block step.  Each row stops on its own tol, at max_iter or at a blow-up.
+    The loop keeps iterates and record values as columns, and a seed's
+    records are built when its result is yielded.  A seed that blew up
+    raises its :class:`Divergence` in its turn, after the results of the
+    seeds before it.  Each result issues the box warnings ``run`` issues;
+    other warnings raised while the block steps come with the first result.
+    """
+    stop = stop or StoppingRule()
+    box_warnings = tuple(validate_against_box(problem, cfg))
+    grad_evals = METHODS[cfg.variant].grad_evals
+    steps = ends = None
+    for i in range(len(seeds)):
+        for msg in box_warnings:
+            warnings.warn(msg, stacklevel=2)
+        if steps is None:
+            steps, ends = _lockstep(problem, cfg, tuple(seeds), x0, x1, stop)
+        if isinstance(ends[i], Divergence):
+            raise ends[i]
+        last, trigger = ends[i]
+        records, rows = [], None
+        for k, (block_rows, x, values) in enumerate(steps[:last + 1]):
+            if block_rows is not rows:  # rows only leave the block
+                rows, p = block_rows, block_rows.index(i)
+            records.append(IterateRecord(k, x[p].copy(), *values[:, p].tolist(),
+                                         grad_evals(k)))
+        yield RunResult(records, trigger, records[-1].n_grad_evals, box_warnings)
+
+
+def _lockstep(problem, cfg, seeds, x0, x1, stop) -> tuple[list, list]:
+    """Step every seed's row, as ``run`` steps one, until each has stopped or
+    blown up.  Returns, per iterate k, (the block's rows as seed positions,
+    their iterates, their record values (5, n_k)); and per seed, its last k
+    and trigger, or its Divergence."""
+    dim, n = problem.dimension, len(seeds)
+    func, grad = rows_form(problem)
+    x_0 = np.tile(as_point(x0, dim), (n, 1))
+    x_cur = np.tile(as_point(x1 if x1 is not None else x0, dim), (n, 1))
+    fstar, xstar = problem.min_value, problem.minimizer
+    xstar_is_zero = xstar is not None and not xstar.any()
+    use_value = fstar is not None
+    c_energy = None
+    if cfg.variant == "IAA" and use_value and cfg.alpha > 0:
+        c_energy = cfg.beta / (cfg.alpha * cfg.s)
+    method = METHODS[cfg.variant]
+    reads_grad = method.grad_at == "x" or method.hessian_correction
+    keeps_prev = method.hessian_correction
+    steps: list = []
+    ends: list = [None] * n
+    rows = list(range(n))
+
+    def record(x: np.ndarray, d: np.ndarray) -> np.ndarray | None:
+        """Append the block's record values at x, d = x - x_prev; return the
+        gradients if the step reads them.  Python floats overflow and turn
+        NaN silently, and so does this arithmetic."""
+        fx, gx = func(x), grad(x)
+        with np.errstate(over="ignore", invalid="ignore"):
+            value_error = fx - fstar if use_value else fx
+            step = np.sqrt(np.vecdot(d, d))
+            if xstar is None:
+                dist = np.full(len(x), np.nan)
+            else:
+                diff = x if xstar_is_zero else x - xstar
+                dist = np.sqrt(np.vecdot(diff, diff))
+            if c_energy is not None and c_energy > 0:
+                energy = analysis._discrete_energy(value_error, c_energy, step)
+            elif c_energy == 0.0:
+                energy = value_error
+            else:
+                energy = np.full(len(x), np.nan)
+            values = np.array((value_error, np.sqrt(np.vecdot(gx, gx)), dist, step, energy))
+        steps.append((rows, x, values))
+        return gx if reads_grad else None
+
+    def keep(live: np.ndarray) -> None:
+        """Drop the rows outside ``live`` from the block."""
+        nonlocal rows, x_cur, d, g_cur, g_prev
+        rows = [r for r, on in zip(rows, live) if on]
+        x_cur, d = x_cur[live], d[live]
+        g_cur = None if g_cur is None else g_cur[live]
+        g_prev = None if g_prev is None else g_prev[live]
+
+    def settle(k: int) -> None:
+        """End the runs whose record k meets tol, and every run at max_iter;
+        tol wins over max_iter when a record meets both."""
+        _, _, values = steps[-1]
+        met = np.zeros(len(rows), dtype=bool)
+        if stop.tol is not None:
+            met = values[0 if use_value else 1] <= stop.tol
+        done = met | (k >= stop.max_iter)
+        if done.any():
+            for r, stops, reached in zip(rows, done.tolist(), met.tolist()):
+                if stops:
+                    ends[r] = (k, "tol" if reached else "max_iter")
+            keep(~done)
+
+    g_cur = record(x_0, x_0 - x_0)
+    d = x_cur - x_0
+    g_prev, g_cur = (g_cur if keeps_prev else None), record(x_cur, d)
+    sample_noise = not cfg.perturb.is_zero
+    k = 1
+    settle(k)
+    while rows:
+        eps = None
+        if sample_noise:
+            eps = sample_discrete_rows(cfg.perturb, [seeds[r] for r in rows], k, dim)
+            drawn = eps.any(axis=1)
+            if not drawn.all():
+                # run() skips a zero eps_k.  x + (-0.0) is x bit for bit, so
+                # a row of -0.0 adds nothing either, whatever the other rows add.
+                eps[~drawn] = -0.0
+        if cfg.variant == "IAA":
+            x_next = step_iaa(grad, cfg, x_cur, d, eps)
+        else:
+            x_next = step_baseline(grad, cfg, x_cur, d, g_cur, g_prev, eps)
+        # NaN propagates through max and fails the comparison, as inf does.
+        peaks = np.abs(x_next).max(axis=1)
+        bad = ~(peaks <= BLOWUP_NORM)
+        if bad.any():
+            for r, blew, peak in zip(rows, bad.tolist(), peaks.tolist()):
+                if blew:
+                    ends[r] = Divergence(
+                        f"iterates blew up at k = {k + 1} (|x| = {peak:.3g})", when=k + 1)
+            # The rows after the first that blew up are never yielded.
+            live = np.arange(len(rows)) < bad.argmax()
+            x_next = x_next[live]
+            keep(live)
+            if not rows:
+                break
+        k += 1
+        d = x_next - x_cur
+        x_cur = x_next
+        g_prev, g_cur = (g_cur if keeps_prev else None), record(x_cur, d)
+        settle(k)
+    return steps, ends

@@ -271,6 +271,18 @@ def sample_discrete(spec: PerturbationSpec, k: int, dim: int) -> Vector:
     return _draw(spec, k, k, dim)
 
 
+def sample_discrete_rows(spec: PerturbationSpec, seeds, k: int, dim: int) -> np.ndarray:
+    """The eps_k of several seeds as rows: row i is ``sample_discrete`` of
+    ``spec`` with seed ``seeds[i]``, bit for bit, since the magnitude is one
+    float for every seed and scales each row alike."""
+    if k < 1:
+        raise ValueError(f"iteration index must be >= 1, got {k}")
+    if spec.model == "gaussian_decay":
+        rows = [counter_standard_normal(seed, k, dim) for seed in seeds]
+        return spec.sigma_at(k) * np.array(rows)
+    return np.array([_draw(spec.with_seed(seed), k, k, dim) for seed in seeds])
+
+
 def sample_continuous(
     spec: PerturbationSpec, t: float, dim: int, step: int | None = None
 ) -> Vector:

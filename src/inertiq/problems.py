@@ -50,6 +50,12 @@ class Problem:
     build func and grad from them.  A problem replaced with a new func or
     grad (``dataclasses.replace``) keeps the old float_form unless it is
     replaced too.
+
+    rows, allowed at any dimension, is the pair (f, grad f) on an (n, d)
+    array of points, one point per row: f returns the n values and grad f
+    the (n, d) gradients, with the bits of func and grad applied row by row.
+    :func:`rows_form` supplies a pair for a problem without one, and a
+    replaced func or grad keeps the old rows pair, as it keeps float_form.
     """
 
     dimension: int
@@ -61,6 +67,7 @@ class Problem:
     minimizer: Vector | None = None
     min_value: float | None = None
     float_form: tuple[Callable[[float], float], Callable[[float], float]] | None = None
+    rows: tuple[Callable[[NDArray], Vector], Callable[[NDArray], NDArray]] | None = None
 
     def __post_init__(self):
         if self.dimension < 1:
@@ -145,6 +152,35 @@ def _same(a):
     return a
 
 
+def rows_form(problem: Problem) -> tuple[Callable, Callable]:
+    """(f, grad f) on an (n, d) array of points, giving the bits of ``func``
+    and ``grad`` applied row by row: the problem's ``rows`` pair; at d = 1
+    its ``float_form`` mapped over the column; else ``func`` and ``grad``
+    mapped over the rows.
+
+    The column is iterated as it is, not as a ``tolist()`` copy, so a long
+    column costs no list of Python floats.
+    """
+    if problem.rows is not None:
+        return problem.rows
+    if problem.float_form is not None:
+        (value, slope), dim = problem.float_form, 1
+
+        def points_of(points):
+            return map(float, points[:, 0])
+    else:
+        value, slope, dim = problem.func, problem.grad, problem.dimension
+
+        def points_of(points):
+            return points  # an (n, d) array iterates over its rows
+
+    return (
+        lambda points: np.fromiter(map(value, points_of(points)), np.float64, len(points)),
+        lambda points: np.fromiter(map(slope, points_of(points)), (np.float64, dim),
+                                   len(points)),
+    )
+
+
 # ---------------------------------------------------------------------------
 # Built-in problems
 # ---------------------------------------------------------------------------
@@ -201,16 +237,39 @@ def _arctan_basin() -> Problem:
     s = 0.125 equals 1/L, keeping the preset inside the certified regime.
     """
 
+    # The formula is written once, for x and y as Python floats or as the
+    # columns of a rows array: +, -, * and / round alike on both, and the
+    # rows form calls math.atan once per row.  On arrays it ignores overflow
+    # and invalid operations, which Python floats pass over silently.
+    def value(x, y, atan):
+        u = x * x + 2.0 * y * y + 0.2
+        return x * x / 10.0 + y * y / 5.0 - atan(1.0 / u)
+
+    def slope(x, y):
+        u = x * x + 2.0 * y * y + 0.2
+        w = 1.0 / (u * u + 1.0)
+        return x / 5.0 + 2.0 * x * w, 2.0 * y / 5.0 + 4.0 * y * w
+
+    def atan_rows(t: Vector) -> Vector:
+        return np.fromiter(map(math.atan, map(float, t)), np.float64, len(t))
+
     def f(p: Vector) -> float:
         x, y = p.tolist()
-        u = x * x + 2.0 * y * y + 0.2
-        return x * x / 10.0 + y * y / 5.0 - math.atan(1.0 / u)
+        return value(x, y, math.atan)
 
     def g(p: Vector) -> Vector:
         x, y = p.tolist()
-        u = x * x + 2.0 * y * y + 0.2
-        w = 1.0 / (u * u + 1.0)
-        return np.array([x / 5.0 + 2.0 * x * w, 2.0 * y / 5.0 + 4.0 * y * w])
+        return np.array(slope(x, y))
+
+    def f_rows(points):
+        with np.errstate(over="ignore", invalid="ignore"):
+            return value(points[:, 0], points[:, 1], atan_rows)
+
+    def g_rows(points):
+        out = np.empty(points.shape)
+        with np.errstate(over="ignore", invalid="ignore"):
+            out[:, 0], out[:, 1] = slope(points[:, 0], points[:, 1])
+        return out
 
     return Problem(
         dimension=2,
@@ -220,6 +279,7 @@ def _arctan_basin() -> Problem:
         lipschitz=8.0,
         minimizer=np.array([0.0, 0.0]),
         min_value=-math.atan(5.0),
+        rows=(f_rows, g_rows),
     )
 
 

@@ -21,7 +21,10 @@ from inertiq import (
     read_config,
     run,
 )
+from inertiq import experiments
 from inertiq.cli import _load_series, main
+from inertiq.errors import Divergence
+from problem_helpers import one_run_per_seed
 from inertiq.experiments import _t41_checks, render_summary, write_records_csv
 
 _NOISE = PerturbationSpec.gaussian(sigma0=0.001, decay=0.01)
@@ -150,6 +153,71 @@ class TestExecute:
         path.write_text("[experiment]\nseeds =\n[run r]\nalgo = hbm\nbeta = 0.04\n")
         with pytest.raises(ValueError, match="seeds must not be empty"):
             read_config(path)
+
+    def test_repeated_seeds_rejected(self, tmp_path, capsys):
+        with pytest.raises(ValueError, match=r"seeds must be unique, got \[3, 3\]"):
+            ExperimentConfig(problem="example51", runs=(), seeds=(3, 3))
+        path = tmp_path / "exp.ini"
+        path.write_text("[experiment]\nseeds = 1 1\n[run r]\nalgo = hbm\nbeta = 0.04\n"
+                        "perturb = gauss:sigma0=0.001,decay=0.01\n")
+        for argv in (["exp", "fig45", "--seeds", "3,3"], ["exp", str(path)]):
+            assert main([*argv, "--out-dir", str(tmp_path / "out"), "--quiet"]) == 2
+            assert capsys.readouterr().err.startswith("usage error: seeds must be unique")
+        assert not (tmp_path / "out").exists()
+
+    # A run whose seeds all finish next to one whose middle seed blows up.
+    LOCKSTEP_CONFIG = textwrap.dedent("""\
+        [experiment]
+        problem = example51
+        seeds = 1 5 2
+
+        [run calm]
+        algo = iaa
+        alpha = 0.45
+        beta = 0.01
+        step = 0.16666666666666666
+        x0 = 3
+        tol = 1e-6
+        max_iter = 300
+        perturb = gauss:sigma0=0.001,decay=0.01
+
+        [run wild]
+        algo = hbm
+        alpha = 0.7
+        beta = 0.04
+        x0 = 3
+        max_iter = 6
+        perturb = gauss:sigma0=1e13,decay=0
+        """)
+
+    @pytest.mark.parametrize("wild", [False, True])
+    def test_lockstep_seeds_write_what_one_run_per_seed_writes(self, tmp_path, monkeypatch,
+                                                               wild):
+        # The summary (with its per-seed box warnings), or the Divergence, and
+        # every file written before it, equal the sequential loop's.
+        text = self.LOCKSTEP_CONFIG
+        path = tmp_path / "exp.ini"
+        path.write_text(text if wild else text[:text.index("[run wild]")])
+        cfg = read_config(path)
+
+        outputs = []
+        for engine in ("lockstep", "sequential"):
+            if engine == "sequential":
+                monkeypatch.setattr(experiments, "run_seeds", one_run_per_seed)
+            out = tmp_path / engine
+            try:
+                ending = render_summary(execute(cfg, out_dir=out))
+            except Divergence as exc:
+                ending = (str(exc), exc.when)
+            outputs.append((ending, {f.name: f.read_bytes() for f in sorted(out.iterdir())}))
+        assert outputs[0] == outputs[1]
+        ending, files = outputs[0]
+        if wild:
+            assert ending == ("iterates blew up at k = 6 (|x| = 1.36e+12)", 6)
+            assert sorted(files) == ["calm_seed1.csv", "calm_seed2.csv", "calm_seed5.csv",
+                                     "wild_seed1.csv"]
+        else:
+            assert ending.count("warning: calm: outside T42 box") == 3
 
     def test_csv_columns(self, tmp_path):
         execute(preset("fig12"), out_dir=tmp_path)
@@ -512,8 +580,8 @@ class TestCli:
         assert (tmp_path / "checks.txt").exists()
 
     def test_exp_seeds_override(self, tmp_path):
-        assert main(["exp", "fig12", "--seeds", "3", "--out-dir", str(tmp_path / "a"),
-                     "--quiet"]) == 0
+        # fig12 has no stochastic run, so --seeds would be ignored there: it
+        # is a usage error (test_usage_errors)
         assert main(["exp", "fig45", "--seeds", "3", "--out-dir", str(tmp_path / "b"),
                      "--quiet"]) == 0
         names = sorted(f.name for f in (tmp_path / "b").glob("IAA-Per*.csv"))
@@ -545,6 +613,8 @@ class TestCli:
         empty.write_text("[experiment]\nseeds =\n[run r]\nalgo = hbm\nbeta = 0.04\n")
         comments = tmp_path / "comments.csv"
         comments.write_text("# no header\n# nor rows\n")
+        (tmp_path / "unseeded.ini").write_text(
+            "[experiment]\nseeds = 1 2\n[run r]\nalgo = hbm\nbeta = 0.04\nmax_iter = 3\n")
         typo = tmp_path / "typo.ini"
         typo.write_text("[experiment]\n[run IAA]\nalgo = iaa\nalpah = 0.3\nbeta = 0.2\n"
                         "step = 0.16666666666666666\nx0 = 3\nmax_iter = 5\n")
@@ -561,6 +631,10 @@ class TestCli:
             # empty seed lists, from the command line and from a config file
             ["exp", "fig45", "--seeds", ",", "--quiet"],
             ["exp", str(empty), "--quiet"],
+            # a seed list no run of the target reads
+            ["exp", "fig12", "--seeds", "5,6", "--out-dir", str(nodir), "--quiet"],
+            ["exp", "fig34", "--seeds", "", "--out-dir", str(nodir), "--quiet"],
+            ["exp", str(tmp_path / "unseeded.ini"), "--seeds", "1", "--quiet"],
             # a key its config section does not read
             ["exp", str(typo), "--quiet"],
             # config files configparser cannot parse, or a stray "%"

@@ -24,11 +24,11 @@ from inertiq import (
     step_baseline,
     step_iaa,
 )
-from inertiq import analysis, optimizers
+from inertiq import analysis, experiments, optimizers
 from inertiq.errors import BLOWUP_NORM, Divergence
 from inertiq.optimizers import METHODS, IterateRecord, RunResult
 from inertiq.problems import Problem, as_point, state_ops
-from problem_helpers import shifted_quadratic
+from problem_helpers import one_run_per_seed, shifted_quadratic
 
 
 @pytest.fixture(scope="module")
@@ -508,17 +508,44 @@ class TestModuleAttributeContract:
         assert res.final.k == 12
         assert calls == {"step": 11, "sample": 11}
 
+    @pytest.mark.parametrize("variant, step_name", [("IAA", "step_iaa"),
+                                                    ("NAG_H", "step_baseline")])
+    def test_run_seeds_resolves_kernels_at_call_time(self, monkeypatch, variant, step_name):
+        # One step and one draw per block step, whatever the number of seeds,
+        # so the traced optimizers.step layer still sees the block's steps.
+        calls = {"step": 0, "sample": 0}
+
+        def counting(key, fn):
+            def wrapper(*args, **kwargs):
+                calls[key] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(optimizers, step_name,
+                            counting("step", getattr(optimizers, step_name)))
+        monkeypatch.setattr(optimizers, "sample_discrete_rows",
+                            counting("sample", optimizers.sample_discrete_rows))
+        noise = PerturbationSpec.gaussian(0.001, 0.01)
+        coefs = (dict(alpha=0.4, beta=0.15, s=0.125) if variant == "IAA"
+                 else dict(alpha=0.7, beta=0.04, theta=0.05))  # fig45's, inside T42
+        cfg = AlgorithmConfig(variant, perturb=noise, **coefs)
+        results = list(optimizers.run_seeds(builtin_problem("example52"), cfg, (4, 2, 9),
+                                            [3.0, 3.0], stop=StoppingRule(tol=None, max_iter=12)))
+        assert [res.final.k for res in results] == [12, 12, 12]
+        assert calls == {"step": 11, "sample": 11}
+
     def test_benchmark_shim_targets_exist(self):
         path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
         spec = importlib.util.spec_from_file_location("perfbench_spans", path)
         spans = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(spans)
-        original = optimizers.step_baseline
+        original = optimizers.step_baseline, experiments.run
         # installed() reads every attribute it replaces, so a renamed one
         # raises AttributeError here.
         with spans.installed(spans.Tracer(), {}):
-            assert optimizers.step_baseline is not original
-        assert optimizers.step_baseline is original
+            assert optimizers.step_baseline is not original[0]
+            assert experiments.run is not original[1]
+        assert (optimizers.step_baseline, experiments.run) == original
 
 
 def _run_reference(problem, cfg, x0, x1=None, stop=None):
@@ -623,6 +650,10 @@ def _run_outcome(fn, *args, **kwargs):
             res = fn(*args, **kwargs)
         except Divergence as exc:
             return type(exc).__name__, str(exc), exc.when
+    return _result_outcome(res)
+
+
+def _result_outcome(res):
     rows = [(r.k, repr((r.x.shape, r.x.dtype)), r.x.tobytes(),
              struct.pack("<5d", r.value_error, r.grad_norm, r.dist, r.step, r.energy),
              r.n_grad_evals) for r in res.records]
@@ -784,6 +815,116 @@ class TestArrayStateMatchesReference:
             assert outcome == _run_outcome(_run_reference, *args)
             endings.add(outcome[0] if outcome[0] == "Divergence" else outcome[1])
         assert {"Divergence", "tol"} <= endings
+
+
+def _seed_outcomes(fn, *args, **kwargs):
+    """_result_outcome of each result until the first Divergence, and that.
+    An alpha * s that underflows to 0 raises ZeroDivisionError in run() and
+    in run_seeds alike (CHANGES.md, FOUND)."""
+    outcomes = []
+    with np.errstate(all="ignore"), warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        try:
+            for res in fn(*args, **kwargs):
+                outcomes.append(_result_outcome(res))
+        except Divergence as exc:
+            outcomes.append((type(exc).__name__, str(exc), exc.when))
+        except ZeroDivisionError as exc:
+            outcomes.append((type(exc).__name__, str(exc)))
+    return outcomes
+
+
+_SEEDS_PROBLEMS = {
+    "example51": builtin_problem("example51"),
+    "example52": builtin_problem("example52"),
+    "shifted3": _WIDE_PROBLEMS["shifted3"],
+}
+
+
+class TestRunSeedsMatchesRun:
+    """The block engine yields, per seed, run()'s records, trigger, counts,
+    box warnings and Divergence bit for bit, each row stopping on its own."""
+
+    @settings(max_examples=200, database=None, derandomize=True, deadline=None)
+    @given(
+        name=st.sampled_from(sorted(_SEEDS_PROBLEMS)),
+        variant=st.sampled_from(VARIANTS),
+        # "wild" noise (sigma 1e13) blows up some seeds and not others
+        forcing=st.sampled_from(["gauss", "random", "wild"]),
+        alpha=st.floats(min_value=0.0, max_value=1.5),
+        beta=st.floats(min_value=1e-3, max_value=3.0),
+        s=st.floats(min_value=1e-3, max_value=3.0),
+        theta=st.floats(min_value=0.0, max_value=1.0),
+        tol=st.none() | st.floats(min_value=1e-12, max_value=1e-2),
+        max_iter=st.integers(min_value=1, max_value=40),
+        seeds=st.lists(st.integers(min_value=0, max_value=2**32), min_size=1, max_size=5,
+                       unique=True),
+        data=st.data(),
+    )
+    def test_bitwise_equal(self, name, variant, forcing, alpha, beta, s, theta, tol,
+                           max_iter, seeds, data):
+        problem = _SEEDS_PROBLEMS[name]
+        point = st.lists(st.floats(min_value=-5.0, max_value=5.0) | st.just(-0.0),
+                         min_size=problem.dimension, max_size=problem.dimension)
+        x0, x1 = data.draw(point), data.draw(st.none() | point)
+        perturb = {
+            "gauss": PerturbationSpec.gaussian(0.5, 0.1),
+            "random": PerturbationSpec.power(0.3, 1.5, direction="random"),
+            "wild": PerturbationSpec.gaussian(1e13, 0.0),
+        }[forcing]
+        cfg = AlgorithmConfig(variant, alpha=alpha, beta=beta, theta=theta,
+                              s=s if variant == "IAA" else None, perturb=perturb)
+        args = (problem, cfg, seeds, x0, x1, StoppingRule(tol=tol, max_iter=max_iter))
+        outcomes = _seed_outcomes(optimizers.run_seeds, *args)
+        assert outcomes == _seed_outcomes(one_run_per_seed, *args)
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_rows_reach_tol_at_different_k(self, variant):
+        # The rows that stop leave the block, and the rest step on with
+        # their own iterates, differences and gradients.
+        basin = builtin_problem("example52")
+        coefs = (dict(alpha=0.4, beta=0.15, s=0.125) if variant == "IAA"
+                 else dict(alpha=0.7, beta=0.04, theta=0.05))
+        cfg = AlgorithmConfig(variant, perturb=PerturbationSpec.gaussian(1e-3, 0.0), **coefs)
+        args = (basin, cfg, range(1, 7), [3.0, 3.0], None, StoppingRule(tol=1e-7, max_iter=500))
+        outcomes = _seed_outcomes(optimizers.run_seeds, *args)
+        assert outcomes == _seed_outcomes(one_run_per_seed, *args)
+        assert {trigger for _, trigger, _, _ in outcomes} == {"tol"}
+        assert len({rows[-1][0] for rows, _, _, _ in outcomes}) > 1
+
+    def test_middle_seed_blows_up(self):
+        # Seed 1 runs its 6 iterates; seed 5 blows up at k = 6; seed 2, which
+        # would run, is never reached.
+        sine_well = builtin_problem("example51")
+        cfg = AlgorithmConfig("HBM", alpha=0.7, beta=0.04,
+                              perturb=PerturbationSpec.gaussian(1e13, 0.0))
+        args = (sine_well, cfg, (1, 5, 2), [3.0], None, StoppingRule(tol=None, max_iter=6))
+        outcomes = _seed_outcomes(optimizers.run_seeds, *args)
+        assert outcomes == _seed_outcomes(one_run_per_seed, *args)
+        assert len(outcomes) == 2 and outcomes[0][1] == "max_iter"
+        assert outcomes[1][0] == "Divergence" and outcomes[1][2] == 6
+        assert _seed_outcomes(one_run_per_seed, sine_well, cfg, (2,), [3.0], None,
+                              StoppingRule(tol=None, max_iter=6))[0][1] == "max_iter"
+
+    def test_zero_draw_is_skipped_per_row(self, monkeypatch):
+        # HBM from x0 = +0, x1 = -0 on a 1-D quadratic with x* = -0 makes
+        # y = -0 before the draw.  run() skips a zero eps_k and keeps x_2 = -0;
+        # the block adds nothing to that row while the other row's draw lands.
+        problem = shifted_quadratic([1.0], [-0.0])
+        draw = optimizers.sample_discrete
+
+        def one_zero_seed(spec, k, dim):
+            return np.zeros(dim) if spec.seed == 1 else draw(spec, k, dim)
+
+        monkeypatch.setattr(optimizers, "sample_discrete", one_zero_seed)
+        monkeypatch.setattr(optimizers, "sample_discrete_rows", lambda spec, seeds, k, dim: (
+            np.array([one_zero_seed(spec.with_seed(seed), k, dim) for seed in seeds])))
+        cfg = AlgorithmConfig("HBM", alpha=0.5, beta=0.1,
+                              perturb=PerturbationSpec.gaussian(0.5, 0.0))
+        args = (problem, cfg, (1, 2), [0.0], [-0.0], StoppingRule(tol=None, max_iter=3))
+        outcomes = _seed_outcomes(optimizers.run_seeds, *args)
+        assert outcomes == _seed_outcomes(one_run_per_seed, *args)
+        assert outcomes[0][0][2][2] == np.array([-0.0]).tobytes()
 
 
 class TestFloatFormMatchesFallback:

@@ -325,6 +325,33 @@ class TestSinglePassMatchesReference:
                 assert counter_standard_normal(seed, index, n).tobytes() == ref, (seed, index)
 
 
+class TestRowsMatchSeeds:
+    """sample_discrete_rows is sample_discrete of each seed, stacked."""
+
+    @settings(max_examples=200, database=None, derandomize=True)
+    @given(
+        spec=st.sampled_from([
+            PerturbationSpec.gaussian(0.5, 0.1),
+            PerturbationSpec.gaussian(1e-320, 1e300),  # sigma_k underflows to 0
+            PerturbationSpec.power(0.3, 1.5, direction="random"),
+            PerturbationSpec.power(0.3, 400.0),  # k^p overflows from k = 7
+            PerturbationSpec.none(),
+        ]),
+        seeds=st.lists(_KEYS, min_size=1, max_size=6),
+        k=st.integers(min_value=1, max_value=300),
+        dim=st.sampled_from([1, 2, 8, 9]),  # n = 9 bypasses the block cache
+    )
+    def test_bitwise_equal(self, spec, seeds, k, dim):
+        rows = perturbations.sample_discrete_rows(spec, seeds, k, dim)
+        expected = [sample_discrete(spec.with_seed(seed), k, dim) for seed in seeds]
+        assert rows.shape == (len(seeds), dim)
+        assert rows.tobytes() == np.array(expected).tobytes()
+
+    def test_index_below_one(self):
+        with pytest.raises(ValueError, match="iteration index must be >= 1, got 0"):
+            perturbations.sample_discrete_rows(PerturbationSpec.gaussian(1.0, 0.0), [1], 0, 2)
+
+
 class TestDrawProperties:
     """Counter-based draws are pure values: independent of call order, each
     one a fresh array, and free of uint64 overflow warnings."""

@@ -1,14 +1,17 @@
 """Built-in problems: metadata, analytic gradients, and input validation."""
 
+import dataclasses
 import math
 import struct
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from inertiq import as_point, builtin_problem, make_quadratic
-from inertiq.problems import Problem
+from inertiq.problems import Problem, rows_form
+from problem_helpers import shifted_quadratic
 
 
 def central_diff(func, x, h=1e-6):
@@ -218,3 +221,49 @@ class TestValidation:
             lipschitz=2.0,
         )
         assert p.kappa == 1.0
+
+
+_ROWS_PROBLEMS = {
+    "example51": builtin_problem("example51"),  # float form mapped over the column
+    "example52": builtin_problem("example52"),  # its own rows pair
+    "quadratic": make_quadratic([0.5, 2.0, 4.0]),  # func and grad mapped over the rows
+    "shifted": shifted_quadratic([0.5, 2.0], [1.0, -2.0]),
+}
+# +-0, subnormals, points near the blow-up guard (1e12) and points whose
+# squares overflow, as a box of -1e200..1e200 samples them.
+_ROW_COORDINATE = st.floats(min_value=-1e300, max_value=1e300) | st.sampled_from(
+    [0.0, -0.0, 5e-324, -5e-324, 1e12, -1e12, 9.999999999999999e11, 1e200, -1e200])
+
+
+class TestRowsForm:
+    """rows_form gives the bits of func and grad applied row by row; on the
+    built-in problems it is as silent as Python floats, so an overflowing
+    box raises no RuntimeWarning."""
+
+    @settings(max_examples=300, database=None, derandomize=True, deadline=None)
+    @given(name=st.sampled_from(sorted(_ROWS_PROBLEMS)), n=st.integers(1, 6), data=st.data())
+    def test_bitwise_equal(self, name, n, data):
+        problem = _ROWS_PROBLEMS[name]
+        d = problem.dimension
+        points = np.array(data.draw(st.lists(_ROW_COORDINATE, min_size=n * d,
+                                             max_size=n * d))).reshape(n, d)
+        func, grad = rows_form(problem)
+        with warnings.catch_warnings():
+            if name.startswith("example"):
+                warnings.simplefilter("error")
+            else:  # numpy's own warnings, per point as per row
+                warnings.simplefilter("ignore")
+            values, grads = func(points), grad(points)
+            per_point = [(problem.func(x), problem.grad(x)) for x in points]
+        assert values.shape == (n,) and grads.shape == (n, d)
+        assert values.tobytes() == np.array([f for f, _ in per_point]).tobytes()
+        assert grads.tobytes() == np.array([g for _, g in per_point]).tobytes()
+
+    def test_which_pair(self):
+        basin = builtin_problem("example52")
+        assert rows_form(basin) is basin.rows
+        sine_well = builtin_problem("example51")
+        assert sine_well.rows is None and sine_well.float_form is not None
+        # a replaced func or grad keeps the rows pair, as it keeps float_form
+        replaced = dataclasses.replace(basin, grad=lambda x: 2.0 * x)
+        assert rows_form(replaced) is basin.rows
