@@ -32,7 +32,6 @@ from .optimizers import (
     RunResult,
     StoppingRule,
     run,
-    run_seeds,
     step_baseline,
     step_iaa,
 )
@@ -80,7 +79,6 @@ __all__ = [
     "rate_constants",
     "read_config",
     "run",
-    "run_seeds",
     "sample_continuous",
     "sample_discrete",
     "step_baseline",

@@ -274,8 +274,10 @@ def check_assumptions(
     A sample passes a check when its slack is at least -1e-9; a NaN slack
     is a violation.  f and grad f are evaluated on all sampled points at
     once, through :func:`inertiq.problems.rows_form`, with the bits of one
-    ``func`` or ``grad`` call per point.  Deterministic in (seed, samples,
-    box).
+    ``func`` or ``grad`` call per point.  So a problem copied with a new
+    func or grad (``dataclasses.replace``) is checked through its old rows
+    pair or float form unless the copy passes ``rows=None`` and
+    ``float_form=None`` too.  Deterministic in (seed, samples, box).
     """
     if problem.minimizer is None or problem.min_value is None:
         raise ValueError("check_assumptions needs minimizer and min_value")

@@ -26,16 +26,16 @@ a fresh 1-element array.
 
 ``run_seeds`` is the block engine: it steps one configuration for many
 perturbation seeds at once, one row of an (n, d) array per seed, through
-the same step functions and the problem's rows form
-(:func:`inertiq.problems.rows_form`), and gives each seed's ``run`` result
-bit for bit.
+the same step functions, the problem's rows form
+(:func:`inertiq.problems.rows_form`) and ``run``'s record rule
+(``_measures``), and gives each seed's ``run`` result bit for bit.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -56,6 +56,12 @@ class Method(NamedTuple):
     def step_size(self) -> str:
         """Name of the coefficient h that scales the gradient and eps_k."""
         return "s" if self.grad_at == "z" else "beta"
+
+    @property
+    def reads_grad(self) -> bool:
+        """Whether the step reads g_k: HBM does, and the corrected variants
+        read g_{k-1} too; IAA and NAG read neither."""
+        return self.grad_at == "x" or self.hessian_correction
 
     def grad_evals(self, k: int) -> int:
         """Algorithmic gradient evaluations through iterate k: none for x_0 and
@@ -262,55 +268,29 @@ def run(
     for msg in box_warnings:
         warnings.warn(msg, stacklevel=2)
 
-    fstar = problem.min_value
     xstar = None if problem.minimizer is None else state(problem.minimizer)
-    # x - 0 is x up to a zero's sign, which the square drops: at x* = 0 the
-    # distance needs no subtraction.
-    xstar_is_zero = xstar is not None and not problem.minimizer.any()
-    use_value = fstar is not None
-    c_energy = None
-    if cfg.variant == "IAA" and use_value and cfg.alpha > 0:
-        c_energy = cfg.beta / (cfg.alpha * cfg.s)
+    measure, reached = _measures(problem, cfg, stop, xstar, sqnorm, math.sqrt,
+                                 lambda x: math.nan)
     method = METHODS[cfg.variant]
-    # HBM reads g_k, the corrected variants g_k and g_{k-1}; IAA and NAG neither.
-    reads_grad = method.grad_at == "x" or method.hessian_correction
-    keeps_prev = method.hessian_correction
+    reads_grad, keeps_prev = method.reads_grad, method.hessian_correction
     records: list[IterateRecord] = []
 
     def make_record(k: int, x: Vector, d: Vector) -> Vector | None:
         """Append the record of iterate k, d = x_k - x_{k-1}; return
         g_k = grad f(x_k) if the step reads it."""
-        fx = func(x)
-        gx = grad(x)
-        value_error = fx - fstar if use_value else fx
-        step = math.sqrt(sqnorm(d))
-        dist = (float("nan") if xstar is None
-                else math.sqrt(sqnorm(x if xstar_is_zero else x - xstar)))
-        if c_energy is not None and c_energy > 0:
-            energy = analysis._discrete_energy(value_error, c_energy, step)
-        elif c_energy == 0.0:
-            energy = value_error
-        else:
-            energy = float("nan")
+        fx, gx = func(x), grad(x)
         records.append(IterateRecord(
-            k=k,
+            k,
             # The record owns its array: a fresh one at d = 1, else a private
             # copy (x_0, x_1) or a fresh step result, never written afterwards.
-            x=point(x),
-            value_error=value_error,
-            grad_norm=math.sqrt(sqnorm(gx)),
-            dist=dist,
-            step=step,
-            energy=energy,
-            n_grad_evals=method.grad_evals(k),
+            point(x),
+            *measure(fx, gx, x, d),
+            method.grad_evals(k),
         ))
         return gx if reads_grad else None
 
     def hit_tol(rec: IterateRecord) -> bool:
-        if stop.tol is None:
-            return False
-        metric = rec.value_error if use_value else rec.grad_norm
-        return metric <= stop.tol
+        return reached(rec.value_error, rec.grad_norm)
 
     g_cur = make_record(0, x_0, x_0 - x_0)
     d = x_cur - x_0
@@ -326,9 +306,7 @@ def run(
         # NaN propagates through max and fails the comparison, as inf does.
         xmax = peak(x_next)
         if not xmax <= BLOWUP_NORM:
-            raise Divergence(
-                f"iterates blew up at k = {k + 1} (|x| = {xmax:.3g})", when=k + 1
-            )
+            raise _divergence(k + 1, xmax)
         k += 1
         d = x_next - x_cur
         x_cur = x_next
@@ -338,16 +316,64 @@ def run(
     return RunResult(records, trigger, records[-1].n_grad_evals, tuple(box_warnings))
 
 
+def _measures(problem: Problem, cfg: AlgorithmConfig, stop: StoppingRule, xstar,
+              sqnorm: Callable, sqrt: Callable, nan: Callable) -> tuple[Callable, Callable]:
+    """The record rule of ``run`` and ``run_seeds``, on one point or on rows.
+
+    Returns ``measure(f(x), grad f(x), x, d)``, a record's (value_error,
+    grad_norm, dist, step, energy) at x with d = x - x_prev, and
+    ``reached(value_error, grad_norm)``, whether the record meets tol.
+    ``xstar`` is the minimizer as the solver holds points (None if unknown),
+    and ``sqnorm``, ``sqrt`` and ``nan(x)`` are its v . v, square root and
+    NaN for x; the operations are the same on a float and on each row.
+    """
+    fstar = problem.min_value
+    use_value = fstar is not None
+    # x - 0 is x up to a zero's sign, which the square drops: at x* = 0 the
+    # distance needs no subtraction.
+    xstar_is_zero = xstar is not None and not problem.minimizer.any()
+    c_energy = None
+    if cfg.variant == "IAA" and use_value and cfg.alpha > 0:
+        c_energy = cfg.beta / (cfg.alpha * cfg.s)
+
+    def measure(fx, gx, x, d) -> tuple:
+        value_error = fx - fstar if use_value else fx
+        step = sqrt(sqnorm(d))
+        dist = nan(x) if xstar is None else sqrt(sqnorm(x if xstar_is_zero else x - xstar))
+        if c_energy is not None and c_energy > 0:
+            energy = analysis._discrete_energy(value_error, c_energy, step)
+        elif c_energy == 0.0:
+            energy = value_error
+        else:
+            energy = nan(x)
+        return value_error, sqrt(sqnorm(gx)), dist, step, energy
+
+    def reached(value_error, grad_norm):
+        metric = value_error if use_value else grad_norm
+        return stop.tol is not None and metric <= stop.tol
+
+    return measure, reached
+
+
+def _divergence(k: int, peak: float) -> Divergence:
+    """The blow-up of iterate k, whose largest |coordinate| is ``peak``."""
+    return Divergence(f"iterates blew up at k = {k} (|x| = {peak:.3g})", when=k)
+
+
+# The most floats a block keeps as columns: n seeds times max_iter iterates
+# times d coordinates and five record values, 8 MB in all.
+LOCKSTEP_FLOATS = 1 << 20
+
+
 def run_seeds(
     problem: Problem,
     cfg: AlgorithmConfig,
     seeds: Sequence[int],
     x0,
-    x1=None,
     stop: StoppingRule | None = None,
 ) -> Iterator[RunResult]:
-    """Yield ``run(problem, cfg with perturbation seed s, x0, x1, stop)`` for
-    each seed s, in seed order and bit for bit, from one lockstep loop.
+    """Yield ``run(problem, cfg with perturbation seed s, x0, stop=stop)``
+    for each seed s, in seed order and bit for bit, from one lockstep loop.
 
     Row i of each (n, d) block is seed i's iterate; ``step_iaa`` or
     ``step_baseline`` and ``sample_discrete_rows`` are called once per
@@ -357,8 +383,17 @@ def run_seeds(
     raises its :class:`Divergence` in its turn, after the results of the
     seeds before it.  Each result issues the box warnings ``run`` issues;
     other warnings raised while the block steps come with the first result.
+
+    Columns that could pass ``LOCKSTEP_FLOATS`` (n * max_iter * (d + 5))
+    are not kept: then each seed is one ``run`` call, as it would be
+    without the block.
     """
     stop = stop or StoppingRule()
+    if len(seeds) * stop.max_iter * (problem.dimension + 5) > LOCKSTEP_FLOATS:
+        for seed in seeds:
+            yield run(problem, replace(cfg, perturb=cfg.perturb.with_seed(seed)), x0,
+                      stop=stop)
+        return
     box_warnings = tuple(validate_against_box(problem, cfg))
     grad_evals = METHODS[cfg.variant].grad_evals
     steps = ends = None
@@ -366,7 +401,7 @@ def run_seeds(
         for msg in box_warnings:
             warnings.warn(msg, stacklevel=2)
         if steps is None:
-            steps, ends = _lockstep(problem, cfg, tuple(seeds), x0, x1, stop)
+            steps, ends = _lockstep(problem, cfg, tuple(seeds), x0, stop)
         if isinstance(ends[i], Divergence):
             raise ends[i]
         last, trigger = ends[i]
@@ -379,7 +414,7 @@ def run_seeds(
         yield RunResult(records, trigger, records[-1].n_grad_evals, box_warnings)
 
 
-def _lockstep(problem, cfg, seeds, x0, x1, stop) -> tuple[list, list]:
+def _lockstep(problem, cfg, seeds, x0, stop) -> tuple[list, list]:
     """Step every seed's row, as ``run`` steps one, until each has stopped or
     blown up.  Returns, per iterate k, (the block's rows as seed positions,
     their iterates, their record values (5, n_k)); and per seed, its last k
@@ -387,40 +422,23 @@ def _lockstep(problem, cfg, seeds, x0, x1, stop) -> tuple[list, list]:
     dim, n = problem.dimension, len(seeds)
     func, grad = rows_form(problem)
     x_0 = np.tile(as_point(x0, dim), (n, 1))
-    x_cur = np.tile(as_point(x1 if x1 is not None else x0, dim), (n, 1))
-    fstar, xstar = problem.min_value, problem.minimizer
-    xstar_is_zero = xstar is not None and not xstar.any()
-    use_value = fstar is not None
-    c_energy = None
-    if cfg.variant == "IAA" and use_value and cfg.alpha > 0:
-        c_energy = cfg.beta / (cfg.alpha * cfg.s)
+    x_cur = x_0.copy()
+    measure, reached = _measures(problem, cfg, stop, problem.minimizer,
+                                 lambda a: np.vecdot(a, a), np.sqrt,
+                                 lambda x: np.full(len(x), np.nan))
     method = METHODS[cfg.variant]
-    reads_grad = method.grad_at == "x" or method.hessian_correction
-    keeps_prev = method.hessian_correction
+    reads_grad, keeps_prev = method.reads_grad, method.hessian_correction
     steps: list = []
     ends: list = [None] * n
     rows = list(range(n))
 
     def record(x: np.ndarray, d: np.ndarray) -> np.ndarray | None:
-        """Append the block's record values at x, d = x - x_prev; return the
-        gradients if the step reads them.  Python floats overflow and turn
-        NaN silently, and so does this arithmetic."""
+        """Append the block's record values at x, d = x - x_prev; return
+        the gradients if the step reads them.  Python floats overflow and
+        turn NaN silently, and so does this arithmetic."""
         fx, gx = func(x), grad(x)
         with np.errstate(over="ignore", invalid="ignore"):
-            value_error = fx - fstar if use_value else fx
-            step = np.sqrt(np.vecdot(d, d))
-            if xstar is None:
-                dist = np.full(len(x), np.nan)
-            else:
-                diff = x if xstar_is_zero else x - xstar
-                dist = np.sqrt(np.vecdot(diff, diff))
-            if c_energy is not None and c_energy > 0:
-                energy = analysis._discrete_energy(value_error, c_energy, step)
-            elif c_energy == 0.0:
-                energy = value_error
-            else:
-                energy = np.full(len(x), np.nan)
-            values = np.array((value_error, np.sqrt(np.vecdot(gx, gx)), dist, step, energy))
+            values = np.array(measure(fx, gx, x, d))
         steps.append((rows, x, values))
         return gx if reads_grad else None
 
@@ -433,17 +451,14 @@ def _lockstep(problem, cfg, seeds, x0, x1, stop) -> tuple[list, list]:
         g_prev = None if g_prev is None else g_prev[live]
 
     def settle(k: int) -> None:
-        """End the runs whose record k meets tol, and every run at max_iter;
-        tol wins over max_iter when a record meets both."""
+        """End the runs whose record k meets tol, and every run at max_iter."""
         _, _, values = steps[-1]
-        met = np.zeros(len(rows), dtype=bool)
-        if stop.tol is not None:
-            met = values[0 if use_value else 1] <= stop.tol
+        met = np.broadcast_to(reached(values[0], values[1]), len(rows))
         done = met | (k >= stop.max_iter)
         if done.any():
-            for r, stops, reached in zip(rows, done.tolist(), met.tolist()):
+            for r, stops, tol_met in zip(rows, done.tolist(), met.tolist()):
                 if stops:
-                    ends[r] = (k, "tol" if reached else "max_iter")
+                    ends[r] = (k, "tol" if tol_met else "max_iter")
             keep(~done)
 
     g_cur = record(x_0, x_0 - x_0)
@@ -471,8 +486,7 @@ def _lockstep(problem, cfg, seeds, x0, x1, stop) -> tuple[list, list]:
         if bad.any():
             for r, blew, peak in zip(rows, bad.tolist(), peaks.tolist()):
                 if blew:
-                    ends[r] = Divergence(
-                        f"iterates blew up at k = {k + 1} (|x| = {peak:.3g})", when=k + 1)
+                    ends[r] = _divergence(k + 1, peak)
             # The rows after the first that blew up are never yielded.
             live = np.arange(len(rows)) < bad.argmax()
             x_next = x_next[live]

@@ -17,8 +17,8 @@ def shifted_quadratic(spectrum, xstar):
                    lipschitz=float(lam.max()), minimizer=xstar, min_value=0.0)
 
 
-def one_run_per_seed(problem, cfg, seeds, x0, x1=None, stop=None):
+def one_run_per_seed(problem, cfg, seeds, x0, stop=None):
     """The sequential loop that ``run_seeds`` replaces: one run() per seed."""
     for seed in seeds:
         yield run(problem, dataclasses.replace(cfg, perturb=cfg.perturb.with_seed(seed)),
-                  x0, x1, stop)
+                  x0, stop=stop)

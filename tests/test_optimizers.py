@@ -866,7 +866,7 @@ class TestRunSeedsMatchesRun:
         problem = _SEEDS_PROBLEMS[name]
         point = st.lists(st.floats(min_value=-5.0, max_value=5.0) | st.just(-0.0),
                          min_size=problem.dimension, max_size=problem.dimension)
-        x0, x1 = data.draw(point), data.draw(st.none() | point)
+        x0 = data.draw(point)
         perturb = {
             "gauss": PerturbationSpec.gaussian(0.5, 0.1),
             "random": PerturbationSpec.power(0.3, 1.5, direction="random"),
@@ -874,7 +874,7 @@ class TestRunSeedsMatchesRun:
         }[forcing]
         cfg = AlgorithmConfig(variant, alpha=alpha, beta=beta, theta=theta,
                               s=s if variant == "IAA" else None, perturb=perturb)
-        args = (problem, cfg, seeds, x0, x1, StoppingRule(tol=tol, max_iter=max_iter))
+        args = (problem, cfg, seeds, x0, StoppingRule(tol=tol, max_iter=max_iter))
         outcomes = _seed_outcomes(optimizers.run_seeds, *args)
         assert outcomes == _seed_outcomes(one_run_per_seed, *args)
 
@@ -886,7 +886,7 @@ class TestRunSeedsMatchesRun:
         coefs = (dict(alpha=0.4, beta=0.15, s=0.125) if variant == "IAA"
                  else dict(alpha=0.7, beta=0.04, theta=0.05))
         cfg = AlgorithmConfig(variant, perturb=PerturbationSpec.gaussian(1e-3, 0.0), **coefs)
-        args = (basin, cfg, range(1, 7), [3.0, 3.0], None, StoppingRule(tol=1e-7, max_iter=500))
+        args = (basin, cfg, range(1, 7), [3.0, 3.0], StoppingRule(tol=1e-7, max_iter=500))
         outcomes = _seed_outcomes(optimizers.run_seeds, *args)
         assert outcomes == _seed_outcomes(one_run_per_seed, *args)
         assert {trigger for _, trigger, _, _ in outcomes} == {"tol"}
@@ -898,19 +898,18 @@ class TestRunSeedsMatchesRun:
         sine_well = builtin_problem("example51")
         cfg = AlgorithmConfig("HBM", alpha=0.7, beta=0.04,
                               perturb=PerturbationSpec.gaussian(1e13, 0.0))
-        args = (sine_well, cfg, (1, 5, 2), [3.0], None, StoppingRule(tol=None, max_iter=6))
+        args = (sine_well, cfg, (1, 5, 2), [3.0], StoppingRule(tol=None, max_iter=6))
         outcomes = _seed_outcomes(optimizers.run_seeds, *args)
         assert outcomes == _seed_outcomes(one_run_per_seed, *args)
         assert len(outcomes) == 2 and outcomes[0][1] == "max_iter"
         assert outcomes[1][0] == "Divergence" and outcomes[1][2] == 6
-        assert _seed_outcomes(one_run_per_seed, sine_well, cfg, (2,), [3.0], None,
+        assert _seed_outcomes(one_run_per_seed, sine_well, cfg, (2,), [3.0],
                               StoppingRule(tol=None, max_iter=6))[0][1] == "max_iter"
 
     def test_zero_draw_is_skipped_per_row(self, monkeypatch):
-        # HBM from x0 = +0, x1 = -0 on a 1-D quadratic with x* = -0 makes
-        # y = -0 before the draw.  run() skips a zero eps_k and keeps x_2 = -0;
-        # the block adds nothing to that row while the other row's draw lands.
-        problem = shifted_quadratic([1.0], [-0.0])
+        # run() skips a zero eps_k; the block adds nothing to that row while
+        # the other row's draw lands, so seed 1 runs as if unperturbed.
+        problem = shifted_quadratic([1.0], [-0.5])
         draw = optimizers.sample_discrete
 
         def one_zero_seed(spec, k, dim):
@@ -921,10 +920,32 @@ class TestRunSeedsMatchesRun:
             np.array([one_zero_seed(spec.with_seed(seed), k, dim) for seed in seeds])))
         cfg = AlgorithmConfig("HBM", alpha=0.5, beta=0.1,
                               perturb=PerturbationSpec.gaussian(0.5, 0.0))
-        args = (problem, cfg, (1, 2), [0.0], [-0.0], StoppingRule(tol=None, max_iter=3))
-        outcomes = _seed_outcomes(optimizers.run_seeds, *args)
-        assert outcomes == _seed_outcomes(one_run_per_seed, *args)
-        assert outcomes[0][0][2][2] == np.array([-0.0]).tobytes()
+        stop = StoppingRule(tol=None, max_iter=5)
+        outcomes = _seed_outcomes(optimizers.run_seeds, problem, cfg, (1, 2), [0.5], stop)
+        assert outcomes == _seed_outcomes(one_run_per_seed, problem, cfg, (1, 2), [0.5], stop)
+        calm = dataclasses.replace(cfg, perturb=PerturbationSpec())
+        assert outcomes[0] == _result_outcome(run(problem, calm, [0.5], stop=stop))
+        assert outcomes[1] != outcomes[0]
+
+    def test_large_blocks_run_one_seed_at_a_time(self, monkeypatch):
+        # Columns past LOCKSTEP_FLOATS are not kept: each seed is one run().
+        calls = []
+        monkeypatch.setattr(optimizers, "run", lambda *args, **kwargs: (
+            calls.append(args[1].perturb.seed) or run(*args, **kwargs)))
+        basin = builtin_problem("example52")
+        cfg = AlgorithmConfig("NAG", alpha=0.7, beta=0.04,
+                              perturb=PerturbationSpec.gaussian(1e-3, 0.0))
+        stop = StoppingRule(tol=None, max_iter=20)
+        args = (basin, cfg, (3, 1, 2), [3.0, 3.0], stop)
+        expected = _seed_outcomes(one_run_per_seed, *args)
+        calls.clear()
+        # 3 seeds * 20 iterates * (2 coordinates + 5 values) = 420 floats
+        monkeypatch.setattr(optimizers, "LOCKSTEP_FLOATS", 420)
+        assert _seed_outcomes(optimizers.run_seeds, *args) == expected
+        assert calls == []
+        monkeypatch.setattr(optimizers, "LOCKSTEP_FLOATS", 419)
+        assert _seed_outcomes(optimizers.run_seeds, *args) == expected
+        assert calls == [3, 1, 2]
 
 
 class TestFloatFormMatchesFallback:

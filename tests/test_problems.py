@@ -267,3 +267,6 @@ class TestRowsForm:
         # a replaced func or grad keeps the rows pair, as it keeps float_form
         replaced = dataclasses.replace(basin, grad=lambda x: 2.0 * x)
         assert rows_form(replaced) is basin.rows
+        # ... unless the copy drops it, as check_assumptions' docstring says
+        _, grad = rows_form(dataclasses.replace(replaced, rows=None))
+        assert grad(np.array([[1.0, -3.0]])).tolist() == [[2.0, -6.0]]
