@@ -34,7 +34,7 @@ from .optimizers import (
     RunResult,
     StoppingRule,
     run,
-    run_seeds,
+    run_rows,
 )
 from .perturbations import (
     PerturbationSpec,
@@ -176,25 +176,27 @@ def format_float(x: float) -> str:
 
 
 # Keyed by the annotation as written: the record modules postpone theirs.
-_FIELD_FORMATS = {"int": str, "float": format_float}
+# "%.17g" renders a float as format_float does, and "%d" an int as str does.
+_FIELD_FORMATS = {"int": "%d", "float": "%.17g", "Vector": "%.17g"}
 
 
 def write_records_csv(path: Path, records, header_note: str = "") -> None:
     """One row per record; the columns are the record dataclass's fields in
     declaration order, a ``Vector`` field spanning one per coordinate (``x``
-    at d = 1, else ``x0, x1, ...``), each formatted by its annotation."""
-    names, columns = [], []
+    at d = 1, else ``x0, x1, ...``), each formatted by its annotation.  Each
+    row is one ``%`` of one format string."""
+    names, formats, columns = [], [], []
     for f in fields(records[0]):
         values = [getattr(rec, f.name) for rec in records]
-        if f.type == "Vector":  # a float from tolist() renders as its np.float64 does, faster
-            cols = [map(format_float, c) for c in np.array(values).T.tolist()]
-        else:
-            cols = [map(_FIELD_FORMATS[f.type], values)]
+        # A float from tolist() renders as its np.float64 does, faster.
+        cols = np.array(values).T.tolist() if f.type == "Vector" else [values]
         names += [f.name] if len(cols) == 1 else [f"{f.name}{i}" for i in range(len(cols))]
+        formats += [_FIELD_FORMATS[f.type]] * len(cols)
         columns += cols
+    row = ",".join(formats)
     lines = [f"# {header_note}"] if header_note else []
     lines.append(",".join(names))
-    lines += map(",".join, zip(*columns))  # the columns are lazy: one row at a time
+    lines += [row % values for values in zip(*columns)]
     path.write_text("\n".join(lines) + "\n", newline="\n")
 
 
@@ -267,8 +269,8 @@ def execute(
 
     Deterministic runs (perturbation independent of the seed) execute once;
     stochastic runs execute once per seed with the seed threaded into the
-    perturbation, all seeds of one run in lockstep
-    (:func:`inertiq.optimizers.run_seeds`).  Writes one CSV per executed run
+    perturbation, every (run, seed) of the experiment in one lockstep block
+    (:func:`inertiq.optimizers.run_rows`).  Writes one CSV per executed run
     plus summary.txt and checks.txt exactly when ``out_dir`` is given.
     """
     problem = builtin_problem(cfg.problem)
@@ -276,26 +278,29 @@ def execute(
     if out is not None:
         out.mkdir(parents=True, exist_ok=True)
 
+    def seeded(setup: RunSetup, seed: int | None) -> AlgorithmConfig:
+        if seed is None:
+            return setup.config
+        return replace(setup.config, perturb=setup.config.perturb.with_seed(seed))
+
     stats: list[RunStats] = []
     checks: list[CheckResult] = []
     notes: list[str] = []
+    # Every stochastic (run, seed) steps in one block; run_rows yields their
+    # results in this loop's order, each built and its box warnings issued
+    # when it is due, and the deterministic runs between them call run().
+    block = run_rows(problem, [
+        (seeded(setup, seed), setup.x0, setup.stop)
+        for setup in cfg.runs if setup.config.perturb.is_stochastic for seed in cfg.seeds
+    ])
     for setup in cfg.runs:
-        seeds = cfg.seeds if setup.config.perturb.is_stochastic else (None,)
-        # Several seeds step in lockstep; run_seeds yields their results in
-        # seed order, each built and its box warnings issued when it is due.
-        block = None
-        if len(seeds) > 1:
-            block = run_seeds(problem, setup.config, seeds, setup.x0, stop=setup.stop)
-        for seed in seeds:
-            run_cfg = setup.config
-            if seed is not None:
-                run_cfg = replace(run_cfg, perturb=run_cfg.perturb.with_seed(seed))
+        stochastic = setup.config.perturb.is_stochastic
+        for seed in cfg.seeds if stochastic else (None,):
+            run_cfg = seeded(setup, seed)
             with warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter("always")
-                if block is None:
-                    result = run(problem, run_cfg, setup.x0, stop=setup.stop)
-                else:
-                    result = next(block)
+                result = next(block) if stochastic else run(
+                    problem, run_cfg, setup.x0, stop=setup.stop)
             for w in caught:
                 notes.append(f"{setup.label}: {w.message}")
             series = [(r.k, r.value_error) for r in result.records]
@@ -331,6 +336,7 @@ def execute(
             if out is not None:
                 suffix = "" if seed is None else f"_seed{seed}"
                 write_run_csv(out / f"{setup.label}{suffix}.csv", result, run_setup)
+            del result, series, final  # this run's records go before the next is built
 
     ordering = _ordering(cfg, stats)
     summary = ComparisonSummary(

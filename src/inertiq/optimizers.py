@@ -24,15 +24,16 @@ the same IEEE-754 operations as 1-element arrays, and takes f and grad f
 from the problem's float form where it has one; only a record's own x is
 a fresh 1-element array.
 
-``run_seeds`` is the block engine: it steps one configuration for many
-perturbation seeds at once, one row of an (n, d) array per seed, through
-the same step functions, the problem's rows form
+``run_rows`` is the block engine: it steps many runs at once, one row of
+an (n, d) array per run, through the same step functions (one call per
+group of runs that differ only in the seed), the problem's rows form
 (:func:`inertiq.problems.rows_form`) and ``run``'s record rule
-(``_measures``), and gives each seed's ``run`` result bit for bit.
+(``_measures``), and gives each run's ``run`` result bit for bit.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import warnings
 from dataclasses import dataclass, field, replace
@@ -269,8 +270,7 @@ def run(
         warnings.warn(msg, stacklevel=2)
 
     xstar = None if problem.minimizer is None else state(problem.minimizer)
-    measure, reached = _measures(problem, cfg, stop, xstar, sqnorm, math.sqrt,
-                                 lambda x: math.nan)
+    measure, reached = _measures(problem, cfg, xstar, sqnorm, math.sqrt, lambda x: math.nan)
     method = METHODS[cfg.variant]
     reads_grad, keeps_prev = method.reads_grad, method.hessian_correction
     records: list[IterateRecord] = []
@@ -290,7 +290,7 @@ def run(
         return gx if reads_grad else None
 
     def hit_tol(rec: IterateRecord) -> bool:
-        return reached(rec.value_error, rec.grad_norm)
+        return reached(rec.value_error, rec.grad_norm, stop.tol)
 
     g_cur = make_record(0, x_0, x_0 - x_0)
     d = x_cur - x_0
@@ -316,13 +316,14 @@ def run(
     return RunResult(records, trigger, records[-1].n_grad_evals, tuple(box_warnings))
 
 
-def _measures(problem: Problem, cfg: AlgorithmConfig, stop: StoppingRule, xstar,
-              sqnorm: Callable, sqrt: Callable, nan: Callable) -> tuple[Callable, Callable]:
-    """The record rule of ``run`` and ``run_seeds``, on one point or on rows.
+def _measures(problem: Problem, cfg: AlgorithmConfig, xstar, sqnorm: Callable,
+              sqrt: Callable, nan: Callable) -> tuple[Callable, Callable]:
+    """The record rule of ``run`` and ``run_rows``, on one point or on rows.
 
     Returns ``measure(f(x), grad f(x), x, d)``, a record's (value_error,
     grad_norm, dist, step, energy) at x with d = x - x_prev, and
-    ``reached(value_error, grad_norm)``, whether the record meets tol.
+    ``reached(value_error, grad_norm, tol)``, whether the record meets tol
+    (None meets nothing, and on rows neither does a NaN tol).
     ``xstar`` is the minimizer as the solver holds points (None if unknown),
     and ``sqnorm``, ``sqrt`` and ``nan(x)`` are its v . v, square root and
     NaN for x; the operations are the same on a float and on each row.
@@ -333,7 +334,8 @@ def _measures(problem: Problem, cfg: AlgorithmConfig, stop: StoppingRule, xstar,
     # distance needs no subtraction.
     xstar_is_zero = xstar is not None and not problem.minimizer.any()
     c_energy = None
-    if cfg.variant == "IAA" and use_value and cfg.alpha > 0:
+    # An alpha * s that underflows to 0 leaves c undefined, as alpha = 0 does.
+    if cfg.variant == "IAA" and use_value and cfg.alpha * cfg.s > 0:
         c_energy = cfg.beta / (cfg.alpha * cfg.s)
 
     def measure(fx, gx, x, d) -> tuple:
@@ -348,9 +350,9 @@ def _measures(problem: Problem, cfg: AlgorithmConfig, stop: StoppingRule, xstar,
             energy = nan(x)
         return value_error, sqrt(sqnorm(gx)), dist, step, energy
 
-    def reached(value_error, grad_norm):
+    def reached(value_error, grad_norm, tol):
         metric = value_error if use_value else grad_norm
-        return stop.tol is not None and metric <= stop.tol
+        return tol is not None and metric <= tol
 
     return measure, reached
 
@@ -360,142 +362,196 @@ def _divergence(k: int, peak: float) -> Divergence:
     return Divergence(f"iterates blew up at k = {k} (|x| = {peak:.3g})", when=k)
 
 
-# The most floats a block keeps as columns: n seeds times max_iter iterates
-# times d coordinates and five record values, 8 MB in all.
+# The most floats a block keeps as columns: max_iter iterates times d
+# coordinates and five record values, summed over the runs; 8 MB in all.
 LOCKSTEP_FLOATS = 1 << 20
 
 
-def run_seeds(
+def run_rows(
     problem: Problem,
-    cfg: AlgorithmConfig,
-    seeds: Sequence[int],
-    x0,
-    stop: StoppingRule | None = None,
+    runs: Sequence[tuple[AlgorithmConfig, object, StoppingRule | None]],
 ) -> Iterator[RunResult]:
-    """Yield ``run(problem, cfg with perturbation seed s, x0, stop=stop)``
-    for each seed s, in seed order and bit for bit, from one lockstep loop.
+    """Yield ``run(problem, cfg, x0, stop=stop)`` for each ``(cfg, x0, stop)``
+    of ``runs``, in order and bit for bit, from one lockstep loop.
 
-    Row i of each (n, d) block is seed i's iterate; ``step_iaa`` or
-    ``step_baseline`` and ``sample_discrete_rows`` are called once per
-    block step.  Each row stops on its own tol, at max_iter or at a blow-up.
-    The loop keeps iterates and record values as columns, and a seed's
-    records are built when its result is yielded.  A seed that blew up
-    raises its :class:`Divergence` in its turn, after the results of the
-    seeds before it.  Each result issues the box warnings ``run`` issues;
-    other warnings raised while the block steps come with the first result.
+    Row i of each (n, d) block is run i's iterate.  The runs whose configs
+    differ only in the perturbation seed form a group, which makes one
+    ``step_iaa`` or ``step_baseline`` call per block step, and the groups
+    that perturb alike but for the seed share one ``sample_discrete_rows``
+    call per block step.  The rows form's f and grad f, the blow-up test and
+    the stopping test take every row at once; the record values are formed
+    per group.  Each row stops on its own tol and max_iter, at a blow-up or
+    at a draw that raises.  The loop keeps iterates and record values as
+    columns, and a run's records are built when its result is yielded.  A
+    run that failed raises its exception (a :class:`Divergence`, or the
+    draw's ``ValueError``) in its turn, after the results of the runs before
+    it.  Each result issues the box warnings ``run`` issues; other warnings
+    raised while the block steps come with the first result.
 
-    Columns that could pass ``LOCKSTEP_FLOATS`` (n * max_iter * (d + 5))
-    are not kept: then each seed is one ``run`` call, as it would be
-    without the block.
+    Runs whose columns could pass ``LOCKSTEP_FLOATS`` (max_iter * (d + 5)
+    summed over the runs) are not stepped as a block: then each run is one
+    ``run`` call, as it would be without the block.
     """
-    stop = stop or StoppingRule()
-    if len(seeds) * stop.max_iter * (problem.dimension + 5) > LOCKSTEP_FLOATS:
-        for seed in seeds:
-            yield run(problem, replace(cfg, perturb=cfg.perturb.with_seed(seed)), x0,
-                      stop=stop)
+    runs = [(cfg, x0, stop or StoppingRule()) for cfg, x0, stop in runs]
+    if sum(stop.max_iter for _, _, stop in runs) * (problem.dimension + 5) > LOCKSTEP_FLOATS:
+        for cfg, x0, stop in runs:
+            yield run(problem, cfg, x0, stop=stop)
         return
-    box_warnings = tuple(validate_against_box(problem, cfg))
-    grad_evals = METHODS[cfg.variant].grad_evals
+    keys = [replace(cfg, perturb=cfg.perturb.with_seed(0)) for cfg, _, _ in runs]
+    box_warnings = {key: tuple(validate_against_box(problem, key)) for key in keys}
     steps = ends = None
-    for i in range(len(seeds)):
-        for msg in box_warnings:
+    for i, key in enumerate(keys):
+        for msg in box_warnings[key]:
             warnings.warn(msg, stacklevel=2)
         if steps is None:
-            steps, ends = _lockstep(problem, cfg, tuple(seeds), x0, stop)
-        if isinstance(ends[i], Divergence):
+            steps, ends = _lockstep(problem, runs, keys)
+        if isinstance(ends[i], Exception):
             raise ends[i]
         last, trigger = ends[i]
+        grad_evals = METHODS[key.variant].grad_evals
         records, rows = [], None
         for k, (block_rows, x, values) in enumerate(steps[:last + 1]):
             if block_rows is not rows:  # rows only leave the block
                 rows, p = block_rows, block_rows.index(i)
             records.append(IterateRecord(k, x[p].copy(), *values[:, p].tolist(),
                                          grad_evals(k)))
-        yield RunResult(records, trigger, records[-1].n_grad_evals, box_warnings)
+        yield RunResult(records, trigger, records[-1].n_grad_evals, box_warnings[key])
 
 
-def _lockstep(problem, cfg, seeds, x0, stop) -> tuple[list, list]:
-    """Step every seed's row, as ``run`` steps one, until each has stopped or
-    blown up.  Returns, per iterate k, (the block's rows as seed positions,
-    their iterates, their record values (5, n_k)); and per seed, its last k
-    and trigger, or its Divergence."""
-    dim, n = problem.dimension, len(seeds)
+def _slices(labels) -> list:
+    """(label, start, stop) per run of equal neighbours in ``labels``."""
+    out, start = [], 0
+    for label, members in itertools.groupby(labels):
+        stop = start + len(list(members))
+        out.append((label, start, stop))
+        start = stop
+    return out
+
+
+def _lockstep(problem, runs, keys) -> tuple[list, list]:
+    """Step every run's row, as ``run`` steps one, until each has stopped,
+    blown up or failed to draw; ``keys`` are the runs' seedless configs.
+    Returns, per iterate k, (the block's rows as run positions, their
+    iterates, their record values (5, n_k)); and per run, its last k and
+    trigger, or its exception."""
+    dim = problem.dimension
     func, grad = rows_form(problem)
-    x_0 = np.tile(as_point(x0, dim), (n, 1))
-    x_cur = x_0.copy()
-    measure, reached = _measures(problem, cfg, stop, problem.minimizer,
-                                 lambda a: np.vecdot(a, a), np.sqrt,
-                                 lambda x: np.full(len(x), np.nan))
-    method = METHODS[cfg.variant]
-    reads_grad, keeps_prev = method.reads_grad, method.hessian_correction
+    # The rows go by group and the groups that draw alike are adjacent, so
+    # that each group and each draw is one slice of the block.
+    groups = list(dict.fromkeys(keys))
+    draw_rank = {spec: r for r, spec in enumerate(dict.fromkeys(g.perturb for g in groups))}
+    groups.sort(key=lambda g: draw_rank[g.perturb])
+    group_index = {g: j for j, g in enumerate(groups)}
+    rows = sorted(range(len(runs)), key=lambda i: group_index[keys[i]])
+    group_of = [group_index[keys[i]] for i in rows]
+    seeds = [runs[i][0].perturb.seed for i in rows]
+    # A NaN tol, a run without one, meets no value.
+    tols = np.array([math.nan if runs[i][2].tol is None else runs[i][2].tol for i in rows])
+    max_iters = np.array([runs[i][2].max_iter for i in rows])
+    specs = [None if g.perturb.is_zero else g.perturb for g in groups]
+    rules = [_measures(problem, g, problem.minimizer, lambda a: np.vecdot(a, a), np.sqrt,
+                       lambda x: np.full(len(x), np.nan)) for g in groups]
+    measures, reached = [m for m, _ in rules], rules[0][1]
     steps: list = []
-    ends: list = [None] * n
-    rows = list(range(n))
+    ends: list = [None] * len(runs)
 
-    def record(x: np.ndarray, d: np.ndarray) -> np.ndarray | None:
-        """Append the block's record values at x, d = x - x_prev; return
-        the gradients if the step reads them.  Python floats overflow and
-        turn NaN silently, and so does this arithmetic."""
+    def slices() -> tuple[list, list]:
+        """(group, start, stop) per live group, and (spec, start, stop) per
+        live slice of perturbed rows that draw alike."""
+        draws = _slices(specs[g] for g in group_of)
+        return _slices(group_of), [draw for draw in draws if draw[0] is not None]
+
+    spans, draws = slices()
+
+    def record(x: np.ndarray, d: np.ndarray) -> np.ndarray:
+        """Append the block's record values at x, d = x - x_prev, and return
+        the gradients.  Python floats overflow and turn NaN silently, and so
+        does this arithmetic."""
         fx, gx = func(x), grad(x)
+        values = np.empty((5, len(x)))
         with np.errstate(over="ignore", invalid="ignore"):
-            values = np.array(measure(fx, gx, x, d))
+            for g, a, b in spans:
+                values[:, a:b] = measures[g](fx[a:b], gx[a:b], x[a:b], d[a:b])
         steps.append((rows, x, values))
-        return gx if reads_grad else None
+        return gx
 
-    def keep(live: np.ndarray) -> None:
-        """Drop the rows outside ``live`` from the block."""
-        nonlocal rows, x_cur, d, g_cur, g_prev
-        rows = [r for r, on in zip(rows, live) if on]
-        x_cur, d = x_cur[live], d[live]
-        g_cur = None if g_cur is None else g_cur[live]
-        g_prev = None if g_prev is None else g_prev[live]
+    def keep(live) -> None:
+        """Drop the rows outside ``live`` (a bool per row) from the block."""
+        nonlocal rows, group_of, seeds, tols, max_iters, x_cur, d, g_cur, g_prev, spans, draws
+        rows, group_of, seeds = ([v for v, on in zip(column, live) if on]
+                                 for column in (rows, group_of, seeds))
+        live = np.asarray(live)
+        tols, max_iters = tols[live], max_iters[live]
+        x_cur, d, g_cur, g_prev = x_cur[live], d[live], g_cur[live], g_prev[live]
+        spans, draws = slices()
+
+    def fail(bad, errors: list) -> np.ndarray:
+        """End the rows in ``bad`` (a bool per row) with ``errors``.  The
+        rows of later runs leave with them, since they are never yielded;
+        returns the mask of the rows kept."""
+        failed = [r for r, b in zip(rows, bad) if b]
+        for r, exc in zip(failed, errors):
+            ends[r] = exc
+        live = np.array(rows) < min(failed)
+        keep(live)
+        return live
 
     def settle(k: int) -> None:
         """End the runs whose record k meets tol, and every run at max_iter."""
-        _, _, values = steps[-1]
-        met = np.broadcast_to(reached(values[0], values[1]), len(rows))
-        done = met | (k >= stop.max_iter)
+        values = steps[-1][2]
+        met = reached(values[0], values[1], tols)
+        done = met | (k >= max_iters)
         if done.any():
             for r, stops, tol_met in zip(rows, done.tolist(), met.tolist()):
                 if stops:
                     ends[r] = (k, "tol" if tol_met else "max_iter")
             keep(~done)
 
+    def draw(k: int) -> np.ndarray | None:
+        """The block's eps_k rows (zero where unperturbed), or None when a
+        draw raises: its rows then end as ``run`` ends."""
+        eps = np.zeros((len(rows), dim))
+        for spec, a, b in draws:
+            try:
+                eps[a:b] = sample_discrete_rows(spec, seeds[a:b], k, dim)
+            except ValueError as exc:  # run() raises it at this k
+                fail([a <= j < b for j in range(len(rows))], [exc] * (b - a))
+                return None
+        # run() skips a zero eps_k.  x + (-0.0) is x bit for bit, so a row
+        # of -0.0 adds nothing either, whatever the other rows add.
+        eps[~eps.any(axis=1)] = -0.0
+        return eps
+
+    x_0 = np.array([as_point(runs[i][1], dim) for i in rows])
+    x_cur = x_0.copy()
     g_cur = record(x_0, x_0 - x_0)
     d = x_cur - x_0
-    g_prev, g_cur = (g_cur if keeps_prev else None), record(x_cur, d)
-    sample_noise = not cfg.perturb.is_zero
+    g_prev, g_cur = g_cur, record(x_cur, d)
     k = 1
     settle(k)
     while rows:
-        eps = None
-        if sample_noise:
-            eps = sample_discrete_rows(cfg.perturb, [seeds[r] for r in rows], k, dim)
-            drawn = eps.any(axis=1)
-            if not drawn.all():
-                # run() skips a zero eps_k.  x + (-0.0) is x bit for bit, so
-                # a row of -0.0 adds nothing either, whatever the other rows add.
-                eps[~drawn] = -0.0
-        if cfg.variant == "IAA":
-            x_next = step_iaa(grad, cfg, x_cur, d, eps)
-        else:
-            x_next = step_baseline(grad, cfg, x_cur, d, g_cur, g_prev, eps)
+        eps = draw(k)
+        if eps is None:  # the failed rows left; draw for the rest
+            continue
+        x_next = []
+        for g, a, b in spans:
+            cfg, eps_k = groups[g], None if specs[g] is None else eps[a:b]
+            if cfg.variant == "IAA":
+                x_next.append(step_iaa(grad, cfg, x_cur[a:b], d[a:b], eps_k))
+            else:
+                x_next.append(step_baseline(grad, cfg, x_cur[a:b], d[a:b], g_cur[a:b],
+                                            g_prev[a:b], eps_k))
+        x_next = np.concatenate(x_next)
         # NaN propagates through max and fails the comparison, as inf does.
         peaks = np.abs(x_next).max(axis=1)
         bad = ~(peaks <= BLOWUP_NORM)
         if bad.any():
-            for r, blew, peak in zip(rows, bad.tolist(), peaks.tolist()):
-                if blew:
-                    ends[r] = _divergence(k + 1, peak)
-            # The rows after the first that blew up are never yielded.
-            live = np.arange(len(rows)) < bad.argmax()
-            x_next = x_next[live]
-            keep(live)
+            x_next = x_next[fail(bad, [_divergence(k + 1, p) for p in peaks[bad].tolist()])]
             if not rows:
                 break
         k += 1
         d = x_next - x_cur
         x_cur = x_next
-        g_prev, g_cur = (g_cur if keeps_prev else None), record(x_cur, d)
+        g_prev, g_cur = g_cur, record(x_cur, d)
         settle(k)
     return steps, ends

@@ -279,8 +279,14 @@ def sample_discrete_rows(spec: PerturbationSpec, seeds, k: int, dim: int) -> np.
         raise ValueError(f"iteration index must be >= 1, got {k}")
     if spec.model == "gaussian_decay":
         # _draw's Gaussian case without a with_seed copy of spec per seed,
-        # which takes two thirds of the general line's time.
-        rows = [counter_standard_normal(seed, k, dim) for seed in seeds]
+        # which takes two thirds of the general line's time.  Up to width 8
+        # each row is read from its cached block, which np.array copies, as
+        # counter_standard_normal would.
+        if dim > _MAX_CACHED_N:
+            rows = [counter_standard_normal(seed, k, dim) for seed in seeds]
+        else:
+            block, row = divmod(k & _M64, _BLOCK)
+            rows = [_normal_block(seed & _M64, block, dim)[row] for seed in seeds]
         return spec.sigma_at(k) * np.array(rows)
     return np.array([_draw(spec.with_seed(seed), k, k, dim) for seed in seeds])
 

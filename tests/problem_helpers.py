@@ -17,8 +17,13 @@ def shifted_quadratic(spectrum, xstar):
                    lipschitz=float(lam.max()), minimizer=xstar, min_value=0.0)
 
 
-def one_run_per_seed(problem, cfg, seeds, x0, stop=None):
-    """The sequential loop that ``run_seeds`` replaces: one run() per seed."""
-    for seed in seeds:
-        yield run(problem, dataclasses.replace(cfg, perturb=cfg.perturb.with_seed(seed)),
-                  x0, stop=stop)
+def seed_rows(cfg, seeds, x0, stop=None):
+    """The ``run_rows`` runs of one config for each seed: one group."""
+    return [(dataclasses.replace(cfg, perturb=cfg.perturb.with_seed(seed)), x0, stop)
+            for seed in seeds]
+
+
+def one_run_per_row(problem, runs):
+    """The sequential loop that ``run_rows`` replaces: one run() per run."""
+    for cfg, x0, stop in runs:
+        yield run(problem, cfg, x0, stop=stop)

@@ -24,7 +24,7 @@ from inertiq import (
 from inertiq import experiments
 from inertiq.cli import _load_series, main
 from inertiq.errors import Divergence
-from problem_helpers import one_run_per_seed
+from problem_helpers import one_run_per_row
 from inertiq.experiments import _t41_checks, render_summary, write_records_csv
 
 _NOISE = PerturbationSpec.gaussian(sigma0=0.001, decay=0.01)
@@ -165,59 +165,110 @@ class TestExecute:
             assert capsys.readouterr().err.startswith("usage error: seeds must be unique")
         assert not (tmp_path / "out").exists()
 
-    # A run whose seeds all finish next to one whose middle seed blows up.
-    LOCKSTEP_CONFIG = textwrap.dedent("""\
-        [experiment]
-        problem = example51
-        seeds = 1 5 2
+    # Runs whose seeds all finish, a deterministic run between them, one
+    # whose middle seed blows up, and one whose every draw fails.
+    LOCKSTEP_RUNS = {
+        "calm": """\
+            algo = iaa
+            alpha = 0.45
+            beta = 0.01
+            step = 0.16666666666666666
+            x0 = 3
+            tol = 1e-6
+            max_iter = 300
+            perturb = gauss:sigma0=0.001,decay=0.01
+            """,
+        "plain": """\
+            algo = nag
+            alpha = 0.7
+            beta = 0.04
+            x0 = 3
+            tol = 1e-6
+            max_iter = 300
+            """,
+        "wild": """\
+            algo = hbm
+            alpha = 0.7
+            beta = 0.04
+            x0 = 3
+            max_iter = 6
+            perturb = gauss:sigma0=1e13,decay=0
+            """,
+        "drift": """\
+            algo = hbm-h
+            alpha = 0.7
+            beta = 0.04
+            theta = 0.05
+            x0 = -2
+            tol = 1e-8
+            max_iter = 200
+            perturb = power:c0=0.01,p=1.5,dir=random
+            """,
+        "broken": """\
+            algo = nag-h
+            alpha = 0.7
+            beta = 0.04
+            theta = 0.05
+            x0 = 1
+            max_iter = 50
+            perturb = power:c0=inf,p=1,dir=random
+            """,
+    }
 
-        [run calm]
-        algo = iaa
-        alpha = 0.45
-        beta = 0.01
-        step = 0.16666666666666666
-        x0 = 3
-        tol = 1e-6
-        max_iter = 300
-        perturb = gauss:sigma0=0.001,decay=0.01
-
-        [run wild]
-        algo = hbm
-        alpha = 0.7
-        beta = 0.04
-        x0 = 3
-        max_iter = 6
-        perturb = gauss:sigma0=1e13,decay=0
-        """)
+    def _lockstep_against_sequential(self, tmp_path, monkeypatch, labels):
+        """The summary, or the exception, and every file written before it,
+        from the lockstep block and from one run() per (run, seed)."""
+        path = tmp_path / "exp.ini"
+        path.write_text("[experiment]\nproblem = example51\nseeds = 1 5 2\n" + "".join(
+            f"\n[run {label}]\n" + textwrap.dedent(self.LOCKSTEP_RUNS[label])
+            for label in labels))
+        cfg = read_config(path)
+        outputs = []
+        for engine in ("lockstep", "sequential"):
+            if engine == "sequential":
+                monkeypatch.setattr(experiments, "run_rows", one_run_per_row)
+            out = tmp_path / engine
+            try:
+                ending = render_summary(execute(cfg, out_dir=out))
+            except (Divergence, ValueError) as exc:
+                ending = (type(exc).__name__, str(exc), getattr(exc, "when", None))
+            outputs.append((ending, {f.name: f.read_bytes() for f in sorted(out.iterdir())}))
+        assert outputs[0] == outputs[1]
+        return outputs[0]
 
     @pytest.mark.parametrize("wild", [False, True])
     def test_lockstep_seeds_write_what_one_run_per_seed_writes(self, tmp_path, monkeypatch,
                                                                wild):
-        # The summary (with its per-seed box warnings), or the Divergence, and
-        # every file written before it, equal the sequential loop's.
-        text = self.LOCKSTEP_CONFIG
-        path = tmp_path / "exp.ini"
-        path.write_text(text if wild else text[:text.index("[run wild]")])
-        cfg = read_config(path)
-
-        outputs = []
-        for engine in ("lockstep", "sequential"):
-            if engine == "sequential":
-                monkeypatch.setattr(experiments, "run_seeds", one_run_per_seed)
-            out = tmp_path / engine
-            try:
-                ending = render_summary(execute(cfg, out_dir=out))
-            except Divergence as exc:
-                ending = (str(exc), exc.when)
-            outputs.append((ending, {f.name: f.read_bytes() for f in sorted(out.iterdir())}))
-        assert outputs[0] == outputs[1]
-        ending, files = outputs[0]
+        # Two stochastic runs step in one block, with a deterministic run
+        # between them; a third, after a blow-up, is never written.
+        labels = ("calm", "plain", "wild", "drift") if wild else ("calm", "plain", "drift")
+        ending, files = self._lockstep_against_sequential(tmp_path, monkeypatch, labels)
+        calm = ["calm_seed1.csv", "calm_seed2.csv", "calm_seed5.csv"]
         if wild:
-            assert ending == ("iterates blew up at k = 6 (|x| = 1.36e+12)", 6)
-            assert sorted(files) == ["calm_seed1.csv", "calm_seed2.csv", "calm_seed5.csv",
-                                     "wild_seed1.csv"]
+            assert ending == ("Divergence", "iterates blew up at k = 6 (|x| = 1.36e+12)", 6)
+            assert sorted(files) == [*calm, "plain.csv", "wild_seed1.csv"]
         else:
             assert ending.count("warning: calm: outside T42 box") == 3
+            assert sorted(files) == [*calm, "checks.txt", "drift_seed1.csv",
+                                     "drift_seed2.csv", "drift_seed5.csv", "plain.csv",
+                                     "summary.txt"]
+
+    @pytest.mark.parametrize("labels, written", [
+        (("calm", "plain", "broken", "wild"), ["plain.csv"]),
+        (("calm", "plain", "wild", "broken"), ["plain.csv", "wild_seed1.csv"]),
+    ])
+    def test_lockstep_ends_where_the_first_failing_run_ends(self, tmp_path, monkeypatch,
+                                                            labels, written):
+        # broken's draws raise from k = 1 and wild blows up at k = 6; the run
+        # that comes first ends the experiment, as it does one run at a time.
+        ending, files = self._lockstep_against_sequential(tmp_path, monkeypatch, labels)
+        if labels[2] == "broken":
+            assert ending == ("ValueError", "power perturbation c0/t^p = inf/1 = inf is not "
+                              "finite at t = 1, p = 1", None)
+        else:
+            assert ending[0] == "Divergence" and ending[2] == 6
+        assert sorted(files) == ["calm_seed1.csv", "calm_seed2.csv", "calm_seed5.csv",
+                                 *written]
 
     def test_csv_columns(self, tmp_path):
         execute(preset("fig12"), out_dir=tmp_path)
@@ -795,6 +846,12 @@ class TestCli:
                      "--t-end", "0.01"]) == 3
         assert capsys.readouterr().err == (
             "divergence: trajectory blew up at t = 0.001 (|x|=nan, |v|=nan)\n")
+        # alpha * s underflows to 0, so IAA's energy weight beta/(alpha*s) is
+        # undefined: the energies are NaN and the run goes on to its blow-up.
+        assert main(["opt", "--algo", "iaa", "--alpha", "5e-324", "--beta", "1",
+                     "--step", "0.5", "--x0", "1"]) == 3
+        assert capsys.readouterr().err == (
+            "divergence: iterates blew up at k = 59 (|x| = 1.15e+12)\n")
 
 
 class TestOdeCsvPinned:

@@ -7,6 +7,7 @@ import math
 import struct
 import warnings
 import weakref
+from unittest import mock
 from pathlib import Path
 
 import numpy as np
@@ -28,7 +29,7 @@ from inertiq import analysis, experiments, optimizers
 from inertiq.errors import BLOWUP_NORM, Divergence
 from inertiq.optimizers import METHODS, IterateRecord, RunResult
 from inertiq.problems import Problem, as_point, state_ops
-from problem_helpers import one_run_per_seed, shifted_quadratic
+from problem_helpers import one_run_per_row, seed_rows, shifted_quadratic
 
 
 @pytest.fixture(scope="module")
@@ -348,6 +349,20 @@ class TestRun:
                   [3.0], stop=stop)
         assert all(math.isnan(rec.energy) for rec in res.records)
 
+    @pytest.mark.parametrize("alpha", [0.0, 5e-324])
+    def test_energy_is_nan_without_a_weight(self, sine_well, alpha):
+        # c = beta/(alpha*s) needs alpha * s > 0; 5e-324 * 0.5 underflows to 0.
+        cfg = AlgorithmConfig(variant="IAA", alpha=alpha, beta=1.0, s=0.5)
+        stop = StoppingRule(tol=None, max_iter=5)
+        with pytest.warns(UserWarning, match="outside T41 box"):
+            res = run(sine_well, cfg, [1.0], stop=stop)
+        rows = _one_group(sine_well, dataclasses.replace(
+            cfg, perturb=PerturbationSpec.gaussian(1e-3, 0.0)), (1, 2), [1.0], stop)
+        with pytest.warns(UserWarning, match="outside T42 box"):
+            results = [res, *rows]
+        for result in results:
+            assert all(math.isnan(rec.energy) for rec in result.records)
+
     def test_out_of_box_warns_but_runs(self, sine_well):
         # beta below the admissible interval's lower root at alpha = 0.45
         cfg = AlgorithmConfig(variant="IAA", alpha=0.45, beta=0.01, s=1.0 / 6.0)
@@ -529,10 +544,41 @@ class TestModuleAttributeContract:
         coefs = (dict(alpha=0.4, beta=0.15, s=0.125) if variant == "IAA"
                  else dict(alpha=0.7, beta=0.04, theta=0.05))  # fig45's, inside T42
         cfg = AlgorithmConfig(variant, perturb=noise, **coefs)
-        results = list(optimizers.run_seeds(builtin_problem("example52"), cfg, (4, 2, 9),
-                                            [3.0, 3.0], stop=StoppingRule(tol=None, max_iter=12)))
+        results = list(_one_group(builtin_problem("example52"), cfg, (4, 2, 9), [3.0, 3.0],
+                                  stop=StoppingRule(tol=None, max_iter=12)))
         assert [res.final.k for res in results] == [12, 12, 12]
         assert calls == {"step": 11, "sample": 11}
+
+    def test_run_rows_steps_each_group_and_draws_each_spec_once(self, monkeypatch):
+        # Three groups in one block, two of them perturbed alike: per block
+        # step one step call per group and one draw per seedless spec.
+        calls = []
+
+        def counting(name):
+            fn = getattr(optimizers, name)
+
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for name in ("step_iaa", "step_baseline", "sample_discrete_rows"):
+            monkeypatch.setattr(optimizers, name, counting(name))
+        noise, drift = (PerturbationSpec.gaussian(0.001, 0.01),
+                        PerturbationSpec.power(0.01, 1.5, direction="random"))
+        iaa = AlgorithmConfig("IAA", alpha=0.4, beta=0.15, s=0.125, perturb=noise)
+        nag_h = AlgorithmConfig("NAG_H", alpha=0.7, beta=0.04, theta=0.05, perturb=noise)
+        hbm = AlgorithmConfig("HBM", alpha=0.7, beta=0.04, perturb=drift)
+        stop = StoppingRule(tol=None, max_iter=12)
+        runs = [(dataclasses.replace(cfg, perturb=cfg.perturb.with_seed(seed)), [3.0, 3.0], stop)
+                for cfg, seed in ((iaa, 4), (hbm, 1), (nag_h, 9), (iaa, 2), (hbm, 3))]
+        results = list(optimizers.run_rows(builtin_problem("example52"), runs))
+        assert [res.final.k for res in results] == [12] * 5
+        assert calls.count("step_iaa") == 11
+        assert calls.count("step_baseline") == 22
+        assert calls.count("sample_discrete_rows") == 22
+        # Each block step draws every spec before it steps any group.
+        assert calls[:5] == ["sample_discrete_rows"] * 2 + ["step_iaa"] + ["step_baseline"] * 2
 
     def test_benchmark_shim_targets_exist(self):
         path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
@@ -559,7 +605,7 @@ def _run_reference(problem, cfg, x0, x1=None, stop=None):
     xstar = problem.minimizer
     use_value = fstar is not None
     c_energy = None
-    if cfg.variant == "IAA" and use_value and cfg.alpha > 0 and cfg.s:
+    if cfg.variant == "IAA" and use_value and cfg.alpha * cfg.s > 0:
         c_energy = cfg.beta / (cfg.alpha * cfg.s)
     method = METHODS[cfg.variant]
     records = []
@@ -818,9 +864,7 @@ class TestArrayStateMatchesReference:
 
 
 def _seed_outcomes(fn, *args, **kwargs):
-    """_result_outcome of each result until the first Divergence, and that.
-    An alpha * s that underflows to 0 raises ZeroDivisionError in run() and
-    in run_seeds alike (CHANGES.md, FOUND)."""
+    """_result_outcome of each result until the first Divergence, and that."""
     outcomes = []
     with np.errstate(all="ignore"), warnings.catch_warnings():
         warnings.simplefilter("ignore")
@@ -829,9 +873,16 @@ def _seed_outcomes(fn, *args, **kwargs):
                 outcomes.append(_result_outcome(res))
         except Divergence as exc:
             outcomes.append((type(exc).__name__, str(exc), exc.when))
-        except ZeroDivisionError as exc:
-            outcomes.append((type(exc).__name__, str(exc)))
     return outcomes
+
+
+def _one_group(problem, cfg, seeds, x0, stop=None):
+    """run_rows over one config's seeds: a block of one group."""
+    return optimizers.run_rows(problem, seed_rows(cfg, seeds, x0, stop))
+
+
+def one_run_per_seed(problem, cfg, seeds, x0, stop=None):
+    return one_run_per_row(problem, seed_rows(cfg, seeds, x0, stop))
 
 
 _SEEDS_PROBLEMS = {
@@ -875,7 +926,7 @@ class TestRunSeedsMatchesRun:
         cfg = AlgorithmConfig(variant, alpha=alpha, beta=beta, theta=theta,
                               s=s if variant == "IAA" else None, perturb=perturb)
         args = (problem, cfg, seeds, x0, StoppingRule(tol=tol, max_iter=max_iter))
-        outcomes = _seed_outcomes(optimizers.run_seeds, *args)
+        outcomes = _seed_outcomes(_one_group, *args)
         assert outcomes == _seed_outcomes(one_run_per_seed, *args)
 
     @pytest.mark.parametrize("variant", VARIANTS)
@@ -887,7 +938,7 @@ class TestRunSeedsMatchesRun:
                  else dict(alpha=0.7, beta=0.04, theta=0.05))
         cfg = AlgorithmConfig(variant, perturb=PerturbationSpec.gaussian(1e-3, 0.0), **coefs)
         args = (basin, cfg, range(1, 7), [3.0, 3.0], StoppingRule(tol=1e-7, max_iter=500))
-        outcomes = _seed_outcomes(optimizers.run_seeds, *args)
+        outcomes = _seed_outcomes(_one_group, *args)
         assert outcomes == _seed_outcomes(one_run_per_seed, *args)
         assert {trigger for _, trigger, _, _ in outcomes} == {"tol"}
         assert len({rows[-1][0] for rows, _, _, _ in outcomes}) > 1
@@ -899,7 +950,7 @@ class TestRunSeedsMatchesRun:
         cfg = AlgorithmConfig("HBM", alpha=0.7, beta=0.04,
                               perturb=PerturbationSpec.gaussian(1e13, 0.0))
         args = (sine_well, cfg, (1, 5, 2), [3.0], StoppingRule(tol=None, max_iter=6))
-        outcomes = _seed_outcomes(optimizers.run_seeds, *args)
+        outcomes = _seed_outcomes(_one_group, *args)
         assert outcomes == _seed_outcomes(one_run_per_seed, *args)
         assert len(outcomes) == 2 and outcomes[0][1] == "max_iter"
         assert outcomes[1][0] == "Divergence" and outcomes[1][2] == 6
@@ -921,7 +972,7 @@ class TestRunSeedsMatchesRun:
         cfg = AlgorithmConfig("HBM", alpha=0.5, beta=0.1,
                               perturb=PerturbationSpec.gaussian(0.5, 0.0))
         stop = StoppingRule(tol=None, max_iter=5)
-        outcomes = _seed_outcomes(optimizers.run_seeds, problem, cfg, (1, 2), [0.5], stop)
+        outcomes = _seed_outcomes(_one_group, problem, cfg, (1, 2), [0.5], stop)
         assert outcomes == _seed_outcomes(one_run_per_seed, problem, cfg, (1, 2), [0.5], stop)
         calm = dataclasses.replace(cfg, perturb=PerturbationSpec())
         assert outcomes[0] == _result_outcome(run(problem, calm, [0.5], stop=stop))
@@ -941,11 +992,117 @@ class TestRunSeedsMatchesRun:
         calls.clear()
         # 3 seeds * 20 iterates * (2 coordinates + 5 values) = 420 floats
         monkeypatch.setattr(optimizers, "LOCKSTEP_FLOATS", 420)
-        assert _seed_outcomes(optimizers.run_seeds, *args) == expected
+        assert _seed_outcomes(_one_group, *args) == expected
         assert calls == []
         monkeypatch.setattr(optimizers, "LOCKSTEP_FLOATS", 419)
-        assert _seed_outcomes(optimizers.run_seeds, *args) == expected
+        assert _seed_outcomes(_one_group, *args) == expected
         assert calls == [3, 1, 2]
+
+
+# The seed whose every draw is zero, in a group whose other rows draw.
+_ZERO_SEED = 0
+
+
+def _draws_with_a_zero_seed():
+    """sample_discrete and sample_discrete_rows, each with _ZERO_SEED's draw
+    made zero, to patch into the optimizers module."""
+    one, rows = optimizers.sample_discrete, optimizers.sample_discrete_rows
+
+    def draw(spec, k, dim):
+        eps = one(spec, k, dim)
+        return np.zeros(dim) if spec.seed == _ZERO_SEED else eps
+
+    def draw_rows(spec, seeds, k, dim):
+        eps = rows(spec, seeds, k, dim)
+        eps[[seed == _ZERO_SEED for seed in seeds]] = 0.0
+        return eps
+
+    return draw, draw_rows
+
+
+_ROW_FORCINGS = {
+    "gauss": PerturbationSpec.gaussian(0.5, 0.1),
+    "random": PerturbationSpec.power(0.3, 1.5, direction="random"),
+    "e1": PerturbationSpec.power(0.3, 1.5),  # the same draw for every seed
+    "none": PerturbationSpec.none(),
+    # sigma_k underflows to 0, so every row of the group draws zero
+    "silent": PerturbationSpec.gaussian(1e-320, 1e300),
+    # sigma 1e13 blows up some rows and not others
+    "wild": PerturbationSpec.gaussian(1e13, 0.0),
+}
+
+
+class TestRunRowsMatchesRun:
+    """One block of several setups, each a group of seeds, yields every
+    run's run() result, or its Divergence in its turn, bit for bit."""
+
+    @settings(max_examples=200, database=None, derandomize=True, deadline=None)
+    @given(
+        name=st.sampled_from(sorted(_SEEDS_PROBLEMS)),
+        setups=st.lists(st.fixed_dictionaries(dict(
+            variant=st.sampled_from(VARIANTS),
+            forcing=st.sampled_from(sorted(_ROW_FORCINGS)),
+            alpha=st.floats(min_value=0.0, max_value=1.5),
+            beta=st.floats(min_value=1e-3, max_value=3.0),
+            s=st.floats(min_value=1e-3, max_value=3.0),
+            theta=st.floats(min_value=0.0, max_value=1.0),
+            tol=st.none() | st.floats(min_value=1e-12, max_value=1e-2),
+            max_iter=st.integers(min_value=1, max_value=40),
+            seeds=st.lists(st.integers(min_value=1, max_value=2**32), min_size=1,
+                           max_size=3, unique=True),
+        )), min_size=2, max_size=5),
+        wild_at=st.integers(min_value=0, max_value=4),
+        data=st.data(),
+    )
+    def test_bitwise_equal(self, name, setups, wild_at, data):
+        problem = _SEEDS_PROBLEMS[name]
+        point = st.lists(st.floats(min_value=-5.0, max_value=5.0) | st.just(-0.0),
+                         min_size=problem.dimension, max_size=problem.dimension)
+        setups[wild_at % len(setups)]["forcing"] = "wild"
+        setups[0]["seeds"] = [_ZERO_SEED, *setups[0]["seeds"]]
+        runs = []
+        for setup in setups:
+            variant = setup["variant"]
+            cfg = AlgorithmConfig(variant, alpha=setup["alpha"], beta=setup["beta"],
+                                  theta=setup["theta"],
+                                  s=setup["s"] if variant == "IAA" else None,
+                                  perturb=_ROW_FORCINGS[setup["forcing"]])
+            stop = StoppingRule(tol=setup["tol"], max_iter=setup["max_iter"])
+            runs += seed_rows(cfg, setup["seeds"], data.draw(point), stop)
+        draw, draw_rows = _draws_with_a_zero_seed()
+        with mock.patch.object(optimizers, "sample_discrete", draw), \
+                mock.patch.object(optimizers, "sample_discrete_rows", draw_rows):
+            outcomes = _seed_outcomes(optimizers.run_rows, problem, runs)
+            assert outcomes == _seed_outcomes(one_run_per_row, problem, runs)
+
+    def test_setups_end_in_their_turn(self, monkeypatch):
+        # Two calm groups around a wild one whose second seed blows up at
+        # k = 6, and a zero-draw row: the block yields the runs before the
+        # blow-up and then raises it, as one run() per run does.
+        sine_well = builtin_problem("example51")
+        draw, draw_rows = _draws_with_a_zero_seed()
+        monkeypatch.setattr(optimizers, "sample_discrete", draw)
+        monkeypatch.setattr(optimizers, "sample_discrete_rows", draw_rows)
+        calm = AlgorithmConfig("IAA", alpha=0.45, beta=0.01, s=1.0 / 6.0,
+                               perturb=PerturbationSpec.gaussian(1e-3, 0.01))
+        drift = AlgorithmConfig("NAG_H", alpha=0.7, beta=0.04, theta=0.05,
+                                perturb=PerturbationSpec.gaussian(1e-3, 0.01))
+        wild = AlgorithmConfig("HBM", alpha=0.7, beta=0.04,
+                               perturb=PerturbationSpec.gaussian(1e13, 0.0))
+        runs = [*seed_rows(calm, (_ZERO_SEED, 3), [3.0], StoppingRule(tol=1e-6, max_iter=300)),
+                *seed_rows(drift, (4,), [-1.0], StoppingRule(tol=1e-9, max_iter=250)),
+                *seed_rows(wild, (1, 5, 2), [3.0], StoppingRule(tol=None, max_iter=6)),
+                *seed_rows(drift, (7,), [2.0], StoppingRule(tol=None, max_iter=20))]
+        outcomes = _seed_outcomes(optimizers.run_rows, sine_well, runs)
+        assert outcomes == _seed_outcomes(one_run_per_row, sine_well, runs)
+        assert [outcome[1] for outcome in outcomes[:4]] == ["tol", "tol", "tol", "max_iter"]
+        assert outcomes[4][0] == "Divergence" and outcomes[4][2] == 6
+        assert len(outcomes) == 5
+        # The zero-draw row runs as if unperturbed, the other calm row does not.
+        with pytest.warns(UserWarning, match="outside T41 box"):
+            calm_only = _result_outcome(run(sine_well, dataclasses.replace(
+                calm, perturb=PerturbationSpec()), [3.0], stop=runs[0][2]))
+        assert outcomes[0][:3] == calm_only[:3] != outcomes[1][:3]
 
 
 class TestFloatFormMatchesFallback:
