@@ -398,7 +398,8 @@ def run_rows(
             yield run(problem, cfg, x0, stop=stop)
         return
     keys = [replace(cfg, perturb=cfg.perturb.with_seed(0)) for cfg, _, _ in runs]
-    box_warnings = {key: tuple(validate_against_box(problem, key)) for key in keys}
+    box_warnings = {key: tuple(validate_against_box(problem, key))
+                    for key in dict.fromkeys(keys)}  # one check per group
     steps = ends = None
     for i, key in enumerate(keys):
         for msg in box_warnings[key]:

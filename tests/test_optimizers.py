@@ -551,7 +551,8 @@ class TestModuleAttributeContract:
 
     def test_run_rows_steps_each_group_and_draws_each_spec_once(self, monkeypatch):
         # Three groups in one block, two of them perturbed alike: per block
-        # step one step call per group and one draw per seedless spec.
+        # step one step call per group and one draw per seedless spec, and
+        # one box check per group.
         calls = []
 
         def counting(name):
@@ -562,7 +563,8 @@ class TestModuleAttributeContract:
                 return fn(*args, **kwargs)
             return wrapper
 
-        for name in ("step_iaa", "step_baseline", "sample_discrete_rows"):
+        for name in ("step_iaa", "step_baseline", "sample_discrete_rows",
+                     "validate_against_box"):
             monkeypatch.setattr(optimizers, name, counting(name))
         noise, drift = (PerturbationSpec.gaussian(0.001, 0.01),
                         PerturbationSpec.power(0.01, 1.5, direction="random"))
@@ -577,8 +579,9 @@ class TestModuleAttributeContract:
         assert calls.count("step_iaa") == 11
         assert calls.count("step_baseline") == 22
         assert calls.count("sample_discrete_rows") == 22
+        assert calls[:3] == ["validate_against_box"] * 3
         # Each block step draws every spec before it steps any group.
-        assert calls[:5] == ["sample_discrete_rows"] * 2 + ["step_iaa"] + ["step_baseline"] * 2
+        assert calls[3:8] == ["sample_discrete_rows"] * 2 + ["step_iaa"] + ["step_baseline"] * 2
 
     def test_benchmark_shim_targets_exist(self):
         path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
