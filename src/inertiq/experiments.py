@@ -33,7 +33,7 @@ from .optimizers import (
     AlgorithmConfig,
     RunResult,
     StoppingRule,
-    run,
+    run,  # noqa: F401 (perfbench shims it)
     run_rows,
 )
 from .perturbations import (
@@ -269,74 +269,67 @@ def execute(
 
     Deterministic runs (perturbation independent of the seed) execute once;
     stochastic runs execute once per seed with the seed threaded into the
-    perturbation, every (run, seed) of the experiment in one lockstep block
-    (:func:`inertiq.optimizers.run_rows`).  Writes one CSV per executed run
-    plus summary.txt and checks.txt exactly when ``out_dir`` is given.
+    perturbation, all through one :func:`inertiq.optimizers.run_rows` call,
+    which picks the engine.  Writes one CSV per executed run plus
+    summary.txt and checks.txt exactly when ``out_dir`` is given.
     """
     problem = builtin_problem(cfg.problem)
     out = Path(out_dir) if out_dir is not None else None
     if out is not None:
         out.mkdir(parents=True, exist_ok=True)
 
-    def seeded(setup: RunSetup, seed: int | None) -> AlgorithmConfig:
-        if seed is None:
-            return setup.config
-        return replace(setup.config, perturb=setup.config.perturb.with_seed(seed))
-
     stats: list[RunStats] = []
     checks: list[CheckResult] = []
     notes: list[str] = []
-    # Every stochastic (run, seed) steps in one block; run_rows yields their
-    # results in this loop's order, each built and its box warnings issued
-    # when it is due, and the deterministic runs between them call run().
-    block = run_rows(problem, [
-        (seeded(setup, seed), setup.x0, setup.stop)
-        for setup in cfg.runs if setup.config.perturb.is_stochastic for seed in cfg.seeds
-    ])
-    for setup in cfg.runs:
-        stochastic = setup.config.perturb.is_stochastic
-        for seed in cfg.seeds if stochastic else (None,):
-            run_cfg = seeded(setup, seed)
-            with warnings.catch_warnings(record=True) as caught:
-                warnings.simplefilter("always")
-                result = next(block) if stochastic else run(
-                    problem, run_cfg, setup.x0, stop=setup.stop)
-            for w in caught:
-                notes.append(f"{setup.label}: {w.message}")
-            series = [(r.k, r.value_error) for r in result.records]
-            fitted = float("nan")
-            for window in (0.5, 1.0):  # short runs need the full series
-                try:
-                    fitted = rates.fit_rate(series, "exponential", window).rate
-                    break
-                except InsufficientData:
-                    continue
+    # Per executed run: the setup with its seed in the perturbation, and
+    # that seed (None for a deterministic run).
+    plan = [
+        (setup if seed is None else replace(setup, config=replace(
+            setup.config, perturb=setup.config.perturb.with_seed(seed))), seed)
+        for setup in cfg.runs
+        for seed in (cfg.seeds if setup.config.perturb.is_stochastic else (None,))
+    ]
+    # One result per entry, in order, each built and warned about when due.
+    results = run_rows(problem, [(setup.config, setup.x0, setup.stop) for setup, _ in plan])
+    for setup, seed in plan:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            result = next(results)
+        for w in caught:
+            notes.append(f"{setup.label}: {w.message}")
+        series = [(r.k, r.value_error) for r in result.records]
+        fitted = float("nan")
+        for window in (0.5, 1.0):  # short runs need the full series
             try:
-                osc = rates.oscillation_metric(result.records)
+                fitted = rates.fit_rate(series, "exponential", window).rate
+                break
             except InsufficientData:
-                osc = float("nan")
-            final = result.final
-            stats.append(
-                RunStats(
-                    label=setup.label,
-                    seed=seed,
-                    iterations=final.k,
-                    reached_tol=result.trigger == "tol",
-                    trigger=result.trigger,
-                    final_value_error=final.value_error,
-                    final_dist=final.dist,
-                    oscillation=osc,
-                    fitted_rate=fitted,
-                    n_grad_evals=result.n_grad_evals,
-                )
+                continue
+        try:
+            osc = rates.oscillation_metric(result.records)
+        except InsufficientData:
+            osc = float("nan")
+        final = result.final
+        stats.append(
+            RunStats(
+                label=setup.label,
+                seed=seed,
+                iterations=final.k,
+                reached_tol=result.trigger == "tol",
+                trigger=result.trigger,
+                final_value_error=final.value_error,
+                final_dist=final.dist,
+                oscillation=osc,
+                fitted_rate=fitted,
+                n_grad_evals=result.n_grad_evals,
             )
-            run_setup = replace(setup, config=run_cfg)
-            if seed is None or seed == cfg.seeds[0]:
-                checks.extend(_t41_checks(problem, run_setup, result))
-            if out is not None:
-                suffix = "" if seed is None else f"_seed{seed}"
-                write_run_csv(out / f"{setup.label}{suffix}.csv", result, run_setup)
-            del result, series, final  # this run's records go before the next is built
+        )
+        if seed is None or seed == cfg.seeds[0]:
+            checks.extend(_t41_checks(problem, setup, result))
+        if out is not None:
+            suffix = "" if seed is None else f"_seed{seed}"
+            write_run_csv(out / f"{setup.label}{suffix}.csv", result, setup)
+        del result, series, final  # this run's records go before the next is built
 
     ordering = _ordering(cfg, stats)
     summary = ComparisonSummary(

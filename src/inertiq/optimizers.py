@@ -24,11 +24,11 @@ the same IEEE-754 operations as 1-element arrays, and takes f and grad f
 from the problem's float form where it has one; only a record's own x is
 a fresh 1-element array.
 
-``run_rows`` is the block engine: it steps many runs at once, one row of
-an (n, d) array per run, through the same step functions (one call per
-group of runs that differ only in the seed), the problem's rows form
+``run_rows`` gives many runs their ``run`` results bit for bit, and picks
+the engine: the seeds of one config step as rows of an (n, d) block through
+the same step functions, the problem's rows form
 (:func:`inertiq.problems.rows_form`) and ``run``'s record rule
-(``_measures``), and gives each run's ``run`` result bit for bit.
+(``_measures``); every other run is one ``run`` call.
 """
 
 from __future__ import annotations
@@ -36,6 +36,7 @@ from __future__ import annotations
 import itertools
 import math
 import warnings
+from collections import Counter
 from dataclasses import dataclass, field, replace
 from typing import Callable, Iterator, NamedTuple, Sequence
 
@@ -372,48 +373,53 @@ def run_rows(
     runs: Sequence[tuple[AlgorithmConfig, object, StoppingRule | None]],
 ) -> Iterator[RunResult]:
     """Yield ``run(problem, cfg, x0, stop=stop)`` for each ``(cfg, x0, stop)``
-    of ``runs``, in order and bit for bit, from one lockstep loop.
+    of ``runs``, in order and bit for bit.
 
-    Row i of each (n, d) block is run i's iterate.  The runs whose configs
-    differ only in the perturbation seed form a group, which makes one
-    ``step_iaa`` or ``step_baseline`` call per block step, and the groups
-    that perturb alike but for the seed share one ``sample_discrete_rows``
-    call per block step.  The rows form's f and grad f, the blow-up test and
-    the stopping test take every row at once; the record values are formed
-    per group.  Each row stops on its own tol and max_iter, at a blow-up or
-    at a draw that raises.  The loop keeps iterates and record values as
-    columns, and a run's records are built when its result is yielded.  A
-    run that failed raises its exception (a :class:`Divergence`, or the
-    draw's ``ValueError``) in its turn, after the results of the runs before
-    it.  Each result issues the box warnings ``run`` issues; other warnings
-    raised while the block steps come with the first result.
-
-    Runs whose columns could pass ``LOCKSTEP_FLOATS`` (max_iter * (d + 5)
-    summed over the runs) are not stepped as a block: then each run is one
-    ``run`` call, as it would be without the block.
+    The runs whose configs differ only in the perturbation seed form a
+    group.  The groups with two or more distinct seeds step in one lockstep
+    block, unless its columns could pass ``LOCKSTEP_FLOATS`` (max_iter *
+    (d + 5) summed over its runs); every other run is one ``run`` call, in
+    its turn, since the block pays only across rows.  In the block, row i of
+    each (n, d) array is a run's iterate; each group makes one ``step_iaa``
+    or ``step_baseline`` call per block step, and the groups that perturb
+    alike but for the seed share one ``sample_discrete_rows`` call.  f, grad
+    f, the blow-up and stopping tests take every row at once, and the record
+    values are formed per group.  Each row stops on its own tol and
+    max_iter, at a blow-up or at a draw that raises.  A run's records are
+    built from the block's columns when its result is yielded.  A run that
+    failed raises its exception (a :class:`Divergence`, or the draw's
+    ``ValueError``) in its turn, after the results of the runs before it.
+    Each result issues the box warnings ``run`` issues; other warnings
+    raised while the block steps come with the first block run's result.
     """
     runs = [(cfg, x0, stop or StoppingRule()) for cfg, x0, stop in runs]
-    if sum(stop.max_iter for _, _, stop in runs) * (problem.dimension + 5) > LOCKSTEP_FLOATS:
-        for cfg, x0, stop in runs:
-            yield run(problem, cfg, x0, stop=stop)
-        return
     keys = [replace(cfg, perturb=cfg.perturb.with_seed(0)) for cfg, _, _ in runs]
+    pairs = set(zip(keys, (cfg.perturb.seed for cfg, _, _ in runs)))
+    n_seeds = Counter(key for key, _ in pairs)  # distinct seeds per group
+    block = [i for i, key in enumerate(keys) if n_seeds[key] > 1]
+    if sum(runs[i][2].max_iter for i in block) * (problem.dimension + 5) > LOCKSTEP_FLOATS:
+        block = []
+    row_of = {i: b for b, i in enumerate(block)}  # each block run's place in the block
     box_warnings = {key: tuple(validate_against_box(problem, key))
-                    for key in dict.fromkeys(keys)}  # one check per group
+                    for key in dict.fromkeys(keys[i] for i in block)}  # one check per group
     steps = ends = None
-    for i, key in enumerate(keys):
+    for i, (key, (cfg, x0, stop)) in enumerate(zip(keys, runs)):
+        b = row_of.get(i)
+        if b is None:
+            yield run(problem, cfg, x0, stop=stop)
+            continue
         for msg in box_warnings[key]:
             warnings.warn(msg, stacklevel=2)
         if steps is None:
-            steps, ends = _lockstep(problem, runs, keys)
-        if isinstance(ends[i], Exception):
-            raise ends[i]
-        last, trigger = ends[i]
+            steps, ends = _lockstep(problem, [runs[j] for j in block], [keys[j] for j in block])
+        if isinstance(ends[b], Exception):
+            raise ends[b]
+        last, trigger = ends[b]
         grad_evals = METHODS[key.variant].grad_evals
         records, rows = [], None
         for k, (block_rows, x, values) in enumerate(steps[:last + 1]):
             if block_rows is not rows:  # rows only leave the block
-                rows, p = block_rows, block_rows.index(i)
+                rows, p = block_rows, block_rows.index(b)
             records.append(IterateRecord(k, x[p].copy(), *values[:, p].tolist(),
                                          grad_evals(k)))
         yield RunResult(records, trigger, records[-1].n_grad_evals, box_warnings[key])

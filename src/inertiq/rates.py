@@ -118,9 +118,7 @@ def oscillation_metric(records: Sequence) -> float:
     """
     if len(records) < 3:
         raise InsufficientData("oscillation metric needs >= 3 records")
-    pts = np.asarray(
-        [np.atleast_1d(getattr(r, "x", r)) for r in records], dtype=np.float64
-    )
-    steps = np.diff(pts, axis=0)
+    pts = np.asarray([getattr(r, "x", r) for r in records], dtype=np.float64)
+    steps = np.diff(pts.reshape(len(pts), -1), axis=0)  # a scalar is a 1-vector
     inner = np.sum(steps[1:] * steps[:-1], axis=1)
     return float(np.count_nonzero(inner < 0.0) / inner.shape[0])

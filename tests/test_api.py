@@ -1,9 +1,10 @@
 """The public API: ``inertiq.__all__`` and the package's public names agree,
-and every exception class the package defines is raised somewhere and
-caught by name somewhere."""
+every exception class the package defines is raised somewhere and caught by
+name somewhere, and the README's library example runs."""
 
 import ast
 import inspect
+import re
 import types
 from pathlib import Path
 
@@ -75,3 +76,23 @@ class TestErrors:
         caught = _scan(PACKAGE + PERFBENCH, ast.ExceptHandler, "type")
         assert sorted(_error_classes() - caught) == []
         assert "InertiqError" in caught and "Divergence" in caught  # the scan saw cli and perfbench
+
+
+class TestReadme:
+    def test_library_quick_start_runs(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        section = readme.split("\n## Library quick start\n", 1)[1].split("\n## ", 1)[0]
+        block = re.search(r"```python\n(.*?)```", section, re.DOTALL).group(1)
+        namespace = {}
+        exec(compile(block, "README.md", "exec"), namespace)
+        # The comment under rate_constants shows what the call returns: each
+        # value in full, or its leading digits followed by "...".
+        comment = next(line for line in block.splitlines() if line.startswith("# {'c'"))
+        shown = dict(re.findall(r"'(\w+)': ([0-9.e+-]+)", comment))
+        consts = {key: repr(value) for key, value in namespace["consts"].items()}
+        assert list(shown) == list(consts)
+        for key, value in shown.items():
+            if value.endswith("..."):
+                assert consts[key].startswith(value[:-3]), key
+            else:
+                assert consts[key] == value, key

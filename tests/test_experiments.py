@@ -215,16 +215,22 @@ class TestExecute:
             """,
     }
 
-    def _lockstep_against_sequential(self, tmp_path, monkeypatch, labels):
+    def _lockstep_against_sequential(self, tmp_path, monkeypatch, labels, seeds):
         """The summary, or the exception, and every file written before it,
-        from the lockstep block and from one run() per (run, seed)."""
+        of the config file with ``labels``' runs and the seed list ``seeds``,
+        from run_rows and from one run() per (run, seed)."""
         path = tmp_path / "exp.ini"
-        path.write_text("[experiment]\nproblem = example51\nseeds = 1 5 2\n" + "".join(
+        path.write_text(f"[experiment]\nproblem = example51\nseeds = {seeds}\n" + "".join(
             f"\n[run {label}]\n" + textwrap.dedent(self.LOCKSTEP_RUNS[label])
             for label in labels))
-        cfg = read_config(path)
+        return self._engines_agree(tmp_path, monkeypatch, read_config(path))
+
+    @staticmethod
+    def _engines_agree(tmp_path, monkeypatch, cfg):
+        """``cfg``'s summary, or exception, and the files written before it,
+        after checking that one run() per (run, seed) gives the same bytes."""
         outputs = []
-        for engine in ("lockstep", "sequential"):
+        for engine in ("run_rows", "sequential"):
             if engine == "sequential":
                 monkeypatch.setattr(experiments, "run_rows", one_run_per_row)
             out = tmp_path / engine
@@ -242,7 +248,8 @@ class TestExecute:
         # Two stochastic runs step in one block, with a deterministic run
         # between them; a third, after a blow-up, is never written.
         labels = ("calm", "plain", "wild", "drift") if wild else ("calm", "plain", "drift")
-        ending, files = self._lockstep_against_sequential(tmp_path, monkeypatch, labels)
+        ending, files = self._lockstep_against_sequential(tmp_path, monkeypatch, labels,
+                                                          "1 5 2")
         calm = ["calm_seed1.csv", "calm_seed2.csv", "calm_seed5.csv"]
         if wild:
             assert ending == ("Divergence", "iterates blew up at k = 6 (|x| = 1.36e+12)", 6)
@@ -261,7 +268,8 @@ class TestExecute:
                                                             labels, written):
         # broken's draws raise from k = 1 and wild blows up at k = 6; the run
         # that comes first ends the experiment, as it does one run at a time.
-        ending, files = self._lockstep_against_sequential(tmp_path, monkeypatch, labels)
+        ending, files = self._lockstep_against_sequential(tmp_path, monkeypatch, labels,
+                                                          "1 5 2")
         if labels[2] == "broken":
             assert ending == ("ValueError", "power perturbation c0/t^p = inf/1 = inf is not "
                               "finite at t = 1, p = 1", None)
@@ -269,6 +277,24 @@ class TestExecute:
             assert ending[0] == "Divergence" and ending[2] == 6
         assert sorted(files) == ["calm_seed1.csv", "calm_seed2.csv", "calm_seed5.csv",
                                  *written]
+
+    def test_one_seed_runs_write_what_one_run_per_seed_writes(self, tmp_path, monkeypatch):
+        # With one seed no config has seeds to step together: each stochastic
+        # run is one run() call, beside the deterministic one.
+        ending, files = self._lockstep_against_sequential(
+            tmp_path, monkeypatch, ("calm", "plain", "drift"), "5")
+        assert ending.count("warning: calm: outside T42 box") == 1
+        assert sorted(files) == ["calm_seed5.csv", "checks.txt", "drift_seed5.csv",
+                                 "plain.csv", "summary.txt"]
+
+    def test_fig45_with_one_seed_writes_what_one_run_per_seed_writes(self, tmp_path,
+                                                                     monkeypatch):
+        # exp fig45 --seeds 1: five one-seed configs.
+        ending, files = self._engines_agree(tmp_path, monkeypatch,
+                                            replace(preset("fig45"), seeds=(1,)))
+        assert "IAA-Per" in ending
+        assert sorted(files) == sorted([f"{label}_seed1.csv" for label, *_ in LINEUPS["fig45"]]
+                                       + ["checks.txt", "summary.txt"])
 
     def test_csv_columns(self, tmp_path):
         execute(preset("fig12"), out_dir=tmp_path)

@@ -550,9 +550,9 @@ class TestModuleAttributeContract:
         assert calls == {"step": 11, "sample": 11}
 
     def test_run_rows_steps_each_group_and_draws_each_spec_once(self, monkeypatch):
-        # Three groups in one block, two of them perturbed alike: per block
-        # step one step call per group and one draw per seedless spec, and
-        # one box check per group.
+        # Three groups of two seeds in one block, two of them perturbed
+        # alike: per block step one step call per group and one draw per
+        # seedless spec, and one box check per group.
         calls = []
 
         def counting(name):
@@ -573,9 +573,10 @@ class TestModuleAttributeContract:
         hbm = AlgorithmConfig("HBM", alpha=0.7, beta=0.04, perturb=drift)
         stop = StoppingRule(tol=None, max_iter=12)
         runs = [(dataclasses.replace(cfg, perturb=cfg.perturb.with_seed(seed)), [3.0, 3.0], stop)
-                for cfg, seed in ((iaa, 4), (hbm, 1), (nag_h, 9), (iaa, 2), (hbm, 3))]
+                for cfg, seed in ((iaa, 4), (hbm, 1), (nag_h, 9), (iaa, 2), (hbm, 3),
+                                  (nag_h, 6))]
         results = list(optimizers.run_rows(builtin_problem("example52"), runs))
-        assert [res.final.k for res in results] == [12] * 5
+        assert [res.final.k for res in results] == [12] * 6
         assert calls.count("step_iaa") == 11
         assert calls.count("step_baseline") == 22
         assert calls.count("sample_discrete_rows") == 22
@@ -880,7 +881,7 @@ def _seed_outcomes(fn, *args, **kwargs):
 
 
 def _one_group(problem, cfg, seeds, x0, stop=None):
-    """run_rows over one config's seeds: a block of one group."""
+    """run_rows over one config's seeds: one group."""
     return optimizers.run_rows(problem, seed_rows(cfg, seeds, x0, stop))
 
 
@@ -1106,6 +1107,34 @@ class TestRunRowsMatchesRun:
             calm_only = _result_outcome(run(sine_well, dataclasses.replace(
                 calm, perturb=PerturbationSpec()), [3.0], stop=runs[0][2]))
         assert outcomes[0][:3] == calm_only[:3] != outcomes[1][:3]
+
+    def test_one_seed_group_is_one_run_call_in_its_turn(self, monkeypatch):
+        # A group with one seed gains nothing from the block: it is one run()
+        # call, made after the results before it and before those after it,
+        # while the two-seed groups around it step in one block.
+        events = []
+        real_run = optimizers.run
+
+        def counting_run(*args, **kwargs):
+            events.append("run")
+            return real_run(*args, **kwargs)
+
+        monkeypatch.setattr(optimizers, "run", counting_run)
+        noise = PerturbationSpec.gaussian(0.001, 0.01)
+        iaa = AlgorithmConfig("IAA", alpha=0.4, beta=0.15, s=0.125, perturb=noise)
+        hbm = AlgorithmConfig("HBM", alpha=0.7, beta=0.04, perturb=noise)
+        nag = AlgorithmConfig("NAG", alpha=0.7, beta=0.04, perturb=noise)
+        block_stop, alone_stop = StoppingRule(tol=None, max_iter=12), StoppingRule(tol=None,
+                                                                                  max_iter=7)
+        runs = [*seed_rows(iaa, (4, 2), [3.0, 3.0], block_stop),
+                *seed_rows(hbm, (1,), [3.0, 3.0], alone_stop),
+                *seed_rows(nag, (9, 3), [3.0, 3.0], block_stop)]
+        basin = builtin_problem("example52")
+        for res in optimizers.run_rows(basin, runs):
+            events.append(res.final.k)
+        assert events == [12, 12, "run", 7, 12, 12]
+        assert (_seed_outcomes(optimizers.run_rows, basin, runs)
+                == _seed_outcomes(one_run_per_row, basin, runs))
 
 
 class TestFloatFormMatchesFallback:

@@ -130,3 +130,24 @@ class TestOscillationMetric:
     def test_insufficient(self):
         with pytest.raises(InsufficientData):
             oscillation_metric([np.zeros(1), np.zeros(1)])
+
+    @staticmethod
+    def _per_point_reference(records):
+        """The metric as it was first written: one np.atleast_1d per point."""
+        pts = np.asarray([np.atleast_1d(getattr(r, "x", r)) for r in records],
+                         dtype=np.float64)
+        steps = np.diff(pts, axis=0)
+        inner = np.sum(steps[1:] * steps[:-1], axis=1)
+        return float(np.count_nonzero(inner < 0.0) / inner.shape[0])
+
+    @pytest.mark.parametrize("name, x0", [("example51", [3.0]), ("example52", [3.0, 3.0])])
+    def test_records_match_per_point_reference(self, name, x0):
+        res = run(builtin_problem(name), AlgorithmConfig("HBM", alpha=0.7, beta=0.04),
+                  x0, stop=StoppingRule(tol=None, max_iter=200))
+        assert oscillation_metric(res.records) == self._per_point_reference(res.records)
+
+    def test_scalars_match_per_point_reference(self):
+        pts = list(np.random.default_rng(5).normal(size=40))
+        assert (oscillation_metric(pts) == self._per_point_reference(pts)
+                == oscillation_metric([float(p) for p in pts]))
+        assert 0.0 < oscillation_metric(pts) < 1.0
