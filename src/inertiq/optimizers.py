@@ -26,7 +26,7 @@ a fresh 1-element array.
 
 ``run_rows`` gives many runs their ``run`` results bit for bit, and picks
 the engine: the seeds of one config step as rows of an (n, d) block through
-the same step functions, the problem's rows form
+the same ``step``, the problem's rows form
 (:func:`inertiq.problems.rows_form`) and ``run``'s record rule
 (``_measures``); every other run is one ``run`` call.
 """
@@ -172,61 +172,42 @@ class RunResult:
         return self.records[-1].k
 
 
-def step_iaa(
+def step(
     grad: Callable[[Vector], Vector],
     cfg: AlgorithmConfig,
     x_k: Vector,
     d_k: Vector,
+    g_k: Vector | None,
+    g_km1: Vector | None,
     eps_k: Vector | None = None,
 ) -> Vector:
-    """One IAA update from x_k and d_k = x_k - x_{k-1}; pure function of its
-    arguments.
-
-    Points, gradients and eps_k are all float arrays or all Python floats;
-    on arrays the update is built in place on one fresh array, as in
-    :func:`step_baseline`.
-    """
-    y = cfg.alpha * d_k
-    y += x_k
-    z = cfg.beta * d_k
-    z += x_k
-    y -= cfg.s * grad(z)
-    if eps_k is not None and np.count_nonzero(eps_k):
-        y += cfg.s * eps_k
-    return y
-
-
-def step_baseline(
-    grad: Callable[[Vector], Vector],
-    cfg: AlgorithmConfig,
-    x_k: Vector,
-    d_k: Vector,
-    g_k: Vector,
-    g_km1: Vector,
-    eps_k: Vector | None = None,
-) -> Vector:
-    """One baseline update from x_k, d_k = x_k - x_{k-1}, g_k and g_{k-1};
-    returns x_{k+1}.
-
-    g_k = grad f(x_k) is read, never evaluated: the only ``grad`` call is at
-    y_k for NAG/NAG_H.  Points, gradients and eps_k are all float arrays or
-    all Python floats, as ``run`` passes them: on arrays the update is built
-    in place on one fresh array, and on floats the same operations rebind y.
-    """
+    """x_{k+1} of the module docstring's recursion from x_k, d_k = x_k - x_{k-1},
+    g_k and g_{k-1}, which IAA and NAG do not read.  ``grad`` is called only
+    at p_k = z_k or y_k.  Points, gradients and eps_k are all float arrays or
+    all Python floats, as ``run`` passes them."""
     method = METHODS[cfg.variant]
-    if method.grad_at == "z":
-        raise ValueError(f"step_baseline got variant {cfg.variant!r}")
     # In place on one fresh array: fewer 512 KB temporaries at large d
     # (README, "Performance"), and the same IEEE-754 operations as
-    # x_k + alpha*d - beta*g, so the same bits.  On floats each one rebinds y.
+    # x_k + alpha*d - h*g, so the same bits.  On floats each one rebinds y.
     y = cfg.alpha * d_k
     y += x_k
     if method.hessian_correction:
         y -= cfg.theta * (g_k - g_km1)
-    y -= cfg.beta * (g_k if method.grad_at == "x" else grad(y))
+    if method.grad_at == "z":
+        h, p = cfg.s, cfg.beta * d_k
+        p += x_k
+    else:
+        h, p = cfg.beta, y
+    # No name holds grad f(p_k): at d = 2^16 a live 512 KB gradient makes
+    # the product a fresh array, with its page faults.
+    y -= h * (g_k if method.grad_at == "x" else grad(p))
     if eps_k is not None and np.count_nonzero(eps_k):
-        y += cfg.beta * eps_k
+        y += h * eps_k
     return y
+
+
+# Both names stay bound: ``run`` and the block call the variant's own.
+step_iaa = step_baseline = step
 
 
 def validate_against_box(problem: Problem, cfg: AlgorithmConfig) -> list[str]:
@@ -296,14 +277,13 @@ def run(
     g_cur = make_record(0, x_0, x_0 - x_0)
     d = x_cur - x_0
     g_prev, g_cur = (g_cur if keeps_prev else None), make_record(1, x_cur, d)
-    sample_noise = not cfg.perturb.is_zero
+    sample_noise, iaa = not cfg.perturb.is_zero, cfg.variant == "IAA"
     k = 1
     while k < stop.max_iter and not hit_tol(records[-1]):
         eps = state(sample_discrete(cfg.perturb, k, dim)) if sample_noise else None
-        if cfg.variant == "IAA":
-            x_next = step_iaa(grad, cfg, x_cur, d, eps)
-        else:
-            x_next = step_baseline(grad, cfg, x_cur, d, g_cur, g_prev, eps)
+        # By the variant's name, at each step: perfbench wraps each name under
+        # its optimizers.step layer, and TestModuleAttributeContract pins this.
+        x_next = (step_iaa if iaa else step_baseline)(grad, cfg, x_cur, d, g_cur, g_prev, eps)
         # NaN propagates through max and fails the comparison, as inf does.
         xmax = peak(x_next)
         if not xmax <= BLOWUP_NORM:
@@ -378,25 +358,27 @@ def run_rows(
     The runs whose configs differ only in the perturbation seed form a
     group.  The groups with two or more distinct seeds step in one lockstep
     block, unless its columns could pass ``LOCKSTEP_FLOATS`` (max_iter *
-    (d + 5) summed over its runs); every other run is one ``run`` call, in
-    its turn, since the block pays only across rows.  In the block, row i of
-    each (n, d) array is a run's iterate; each group makes one ``step_iaa``
-    or ``step_baseline`` call per block step, and the groups that perturb
-    alike but for the seed share one ``sample_discrete_rows`` call.  f, grad
-    f, the blow-up and stopping tests take every row at once, and the record
-    values are formed per group.  Each row stops on its own tol and
-    max_iter, at a blow-up or at a draw that raises.  A run's records are
-    built from the block's columns when its result is yielded.  A run that
-    failed raises its exception (a :class:`Divergence`, or the draw's
-    ``ValueError``) in its turn, after the results of the runs before it.
-    Each result issues the box warnings ``run`` issues; other warnings
-    raised while the block steps come with the first block run's result.
+    (d + 5) summed over its runs); every other run, and every run whose x0
+    ``as_point`` refuses, is one ``run`` call, in its turn, since the block
+    pays only across rows.  In the block, row i of each (n, d) array is a
+    run's iterate; each group makes one ``step`` call per block step, and
+    the groups that perturb alike but for the seed share one
+    ``sample_discrete_rows`` call.  f, grad f, the blow-up and stopping
+    tests take every row at once, and the record values are formed per
+    group.  Each row stops on its own tol and max_iter, at a blow-up or at
+    a draw that raises.  A run's records are built from the block's columns
+    when its result is yielded.  A run that failed raises its exception (a
+    :class:`Divergence`, or the draw's ``ValueError``) in its turn, after
+    the results of the runs before it.  Each result issues the box warnings
+    ``run`` issues; other warnings raised while the block steps come with
+    the first block run's result.
     """
     runs = [(cfg, x0, stop or StoppingRule()) for cfg, x0, stop in runs]
     keys = [replace(cfg, perturb=cfg.perturb.with_seed(0)) for cfg, _, _ in runs]
     pairs = set(zip(keys, (cfg.perturb.seed for cfg, _, _ in runs)))
     n_seeds = Counter(key for key, _ in pairs)  # distinct seeds per group
-    block = [i for i, key in enumerate(keys) if n_seeds[key] > 1]
+    block = [i for i, key in enumerate(keys)
+             if n_seeds[key] > 1 and _is_point(runs[i][1], problem.dimension)]
     if sum(runs[i][2].max_iter for i in block) * (problem.dimension + 5) > LOCKSTEP_FLOATS:
         block = []
     row_of = {i: b for b, i in enumerate(block)}  # each block run's place in the block
@@ -423,6 +405,15 @@ def run_rows(
             records.append(IterateRecord(k, x[p].copy(), *values[:, p].tolist(),
                                          grad_evals(k)))
         yield RunResult(records, trigger, records[-1].n_grad_evals, box_warnings[key])
+
+
+def _is_point(x, dim: int) -> bool:
+    """Whether ``as_point`` takes x; ``run`` raises its refusal."""
+    try:
+        as_point(x, dim)
+    except (TypeError, ValueError):
+        return False
+    return True
 
 
 def _slices(labels) -> list:
@@ -543,11 +534,9 @@ def _lockstep(problem, runs, keys) -> tuple[list, list]:
         x_next = []
         for g, a, b in spans:
             cfg, eps_k = groups[g], None if specs[g] is None else eps[a:b]
-            if cfg.variant == "IAA":
-                x_next.append(step_iaa(grad, cfg, x_cur[a:b], d[a:b], eps_k))
-            else:
-                x_next.append(step_baseline(grad, cfg, x_cur[a:b], d[a:b], g_cur[a:b],
-                                            g_prev[a:b], eps_k))
+            # Looked up by the variant's name, as in run().
+            x_next.append((step_iaa if cfg.variant == "IAA" else step_baseline)(
+                grad, cfg, x_cur[a:b], d[a:b], g_cur[a:b], g_prev[a:b], eps_k))
         x_next = np.concatenate(x_next)
         # NaN propagates through max and fails the comparison, as inf does.
         peaks = np.abs(x_next).max(axis=1)

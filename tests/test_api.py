@@ -1,8 +1,9 @@
 """The public API: ``inertiq.__all__`` and the package's public names agree,
 every exception class the package defines is raised somewhere and caught by
-name somewhere, and the README's library example runs."""
+name somewhere, and the README's library example runs and its calls bind."""
 
 import ast
+import importlib
 import inspect
 import re
 import types
@@ -53,6 +54,7 @@ def _scan(paths, kind: type, field: str) -> set[str]:
 
 PACKAGE = sorted(Path(inertiq.__file__).parent.glob("*.py"))
 PERFBENCH = sorted((Path(inertiq.__file__).parents[2] / "perfbench").glob("*.py"))
+README = Path(inertiq.__file__).parents[2] / "README.md"
 
 
 def _error_classes() -> set[str]:
@@ -80,7 +82,7 @@ class TestErrors:
 
 class TestReadme:
     def test_library_quick_start_runs(self):
-        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        readme = README.read_text()
         section = readme.split("\n## Library quick start\n", 1)[1].split("\n## ", 1)[0]
         block = re.search(r"```python\n(.*?)```", section, re.DOTALL).group(1)
         namespace = {}
@@ -96,3 +98,45 @@ class TestReadme:
                 assert consts[key].startswith(value[:-3]), key
             else:
                 assert consts[key] == value, key
+
+    def test_inline_calls_bind(self):
+        # Every inline `name(args)` whose name is one of the package's own
+        # callables binds to its signature; a call that elides arguments with
+        # `...` needs to bind only what it shows, and `name()` names the
+        # function.
+        text = re.sub(r"```.*?```", "", README.read_text(), flags=re.DOTALL)
+        roots = [inertiq] + [importlib.import_module(f"inertiq.{path.stem}")
+                             for path in PACKAGE if not path.stem.startswith("_")]
+        checked = set()
+        for span in re.findall(r"`([^`]+)`", text):
+            try:
+                call = ast.parse(span.replace("\n", " "), mode="eval").body
+            except SyntaxError:
+                continue
+            if not isinstance(call, ast.Call) or not (call.args or call.keywords):
+                continue
+            name = ast.unparse(call.func).removeprefix("inertiq.").removeprefix("iq.")
+            fn = next((obj for obj in (_lookup(root, name) for root in roots)
+                       if getattr(obj, "__module__", "").startswith("inertiq")), None)
+            try:
+                signature = inspect.signature(fn)
+            except (TypeError, ValueError):  # no callable of ours, or no signature
+                continue
+            elided = [isinstance(arg, ast.Constant) and arg.value is Ellipsis
+                      for arg in call.args]
+            shown = len(call.args) if not any(elided) else elided.index(True)
+            keywords = {kw.arg: None for kw in call.keywords}
+            bind = signature.bind_partial if any(elided) else signature.bind
+            try:
+                bind(*[None] * shown, **keywords)
+            except TypeError as exc:
+                raise AssertionError(f"README.md: `{span}` does not bind: {exc}") from None
+            checked.add(name)
+        assert {"run", "step_iaa", "optimizers.run_rows", "execute"} <= checked
+
+
+def _lookup(root, dotted: str):
+    """``root.a.b`` for ``dotted`` = "a.b", or None."""
+    for part in dotted.split("."):
+        root = getattr(root, part, None)
+    return root

@@ -296,6 +296,23 @@ class TestExecute:
         assert sorted(files) == sorted([f"{label}_seed1.csv" for label, *_ in LINEUPS["fig45"]]
                                        + ["checks.txt", "summary.txt"])
 
+    def test_refused_x0_ends_the_experiment_in_its_turn(self, tmp_path, monkeypatch):
+        # B's x0 has three coordinates on the 2-D example52: A's two seeds are
+        # written, as one run() per run writes them, and then B's first run
+        # raises, so exp exits 2 with the same files.
+        path = tmp_path / "exp.ini"
+        path.write_text("[experiment]\nproblem = example52\nseeds = 1 2\n" + "".join(
+            f"\n[run {label}]\nalgo = {algo}\nalpha = 0.4\nbeta = 0.15\nstep = 0.125\n"
+            f"x0 = {x0}\nmax_iter = 50\nperturb = gauss:sigma0=0.001,decay=0.01\n"
+            for label, algo, x0 in (("A", "iaa", "3 3"), ("B", "hbm", "3 3 3"))))
+        ending, files = self._engines_agree(tmp_path, monkeypatch, read_config(path))
+        assert ending == ("ValueError", "expected length 2, got 3", None)
+        assert sorted(files) == ["A_seed1.csv", "A_seed2.csv"]
+        monkeypatch.undo()
+        out = tmp_path / "cli"
+        assert main(["exp", str(path), "--out-dir", str(out), "--quiet"]) == 2
+        assert {f.name: f.read_bytes() for f in sorted(out.iterdir())} == files
+
     def test_csv_columns(self, tmp_path):
         execute(preset("fig12"), out_dir=tmp_path)
         lines = (tmp_path / "IAA.csv").read_text().splitlines()

@@ -62,13 +62,14 @@ class TestStepIaa:
     def test_fixed_point(self, sine_well):
         cfg = AlgorithmConfig(**IAA_BENCH)
         xstar = np.array([0.0])
-        np.testing.assert_array_equal(step_iaa(sine_well.grad, cfg, xstar, xstar - xstar), xstar)
+        x2 = step_iaa(sine_well.grad, cfg, xstar, xstar - xstar, None, None)
+        np.testing.assert_array_equal(x2, xstar)
 
     def test_equal_iterates_step(self, sine_well):
         # x1 = x0 = 3: momentum vanishes, x2 = 3 - s grad f(3)
         cfg = AlgorithmConfig(**IAA_BENCH)
         x = np.array([3.0])
-        x2 = step_iaa(sine_well.grad, cfg, x, x - x)
+        x2 = step_iaa(sine_well.grad, cfg, x, x - x, None, None)
         expected = 3.0 - (6.0 + 2.0 * math.sin(6.0)) / 6.0
         assert x2[0] == pytest.approx(expected, rel=1e-15)
         assert x2[0] == pytest.approx(2.093139, abs=1e-6)
@@ -80,9 +81,31 @@ class TestStepIaa:
         xk, xk1 = np.array([2.0]), np.array([1.5])
         z = xk + cfg.beta * (xk - xk1)
         eps = sine_well.grad(z)
-        x2 = step_iaa(sine_well.grad, cfg, xk, xk - xk1, eps)
+        x2 = step_iaa(sine_well.grad, cfg, xk, xk - xk1, None, None, eps)
         y = xk + cfg.alpha * (xk - xk1)
         np.testing.assert_allclose(x2, y, rtol=1e-12)
+
+
+class TestOneStep:
+    """step_iaa and step_baseline are one function, ``step``, for all five
+    variants."""
+
+    def test_both_names_are_one_function(self):
+        assert optimizers.step_iaa is optimizers.step_baseline is optimizers.step
+
+    def test_old_iaa_call_shape_raises(self, sine_well):
+        # g_k and g_{k-1} are required, so an eps_k passed where
+        # step_iaa(grad, cfg, x_k, d_k, eps_k) took it cannot bind to g_k.
+        cfg = AlgorithmConfig(**IAA_BENCH)
+        x = np.array([3.0])
+        with pytest.raises(TypeError):
+            step_iaa(sine_well.grad, cfg, x, x - x, np.array([0.1]))
+
+    def test_step_baseline_steps_iaa(self, sine_well):
+        cfg = AlgorithmConfig(**IAA_BENCH)
+        xk, xk1, eps = np.array([2.0]), np.array([1.5]), np.array([0.25])
+        x2 = step_baseline(sine_well.grad, cfg, xk, xk - xk1, None, None, eps)
+        assert x2.tobytes() == _step_iaa_reference(sine_well.grad, cfg, xk, xk1, eps).tobytes()
 
 
 class TestStepBaseline:
@@ -206,7 +229,7 @@ class TestStepIaaMatchesReference:
             zero, grad = st.just(np.zeros(dim)), problem.grad
         x_k, x_km1 = data.draw(vec), data.draw(vec)
         eps = data.draw(st.none() | zero | vec)
-        x_next = step_iaa(grad, cfg, x_k, x_k - x_km1, eps)
+        x_next = step_iaa(grad, cfg, x_k, x_k - x_km1, None, None, eps)
         ref_next = _step_iaa_reference(grad, cfg, x_k, x_km1, eps)
         assert type(x_next) is type(ref_next)
         assert np.asarray(x_next).tobytes() == np.asarray(ref_next).tobytes()
@@ -796,8 +819,9 @@ class TestFloatStateMatchesReference:
             return None if v is None else np.array([v])
 
         if variant == "IAA":
-            on_floats = step_iaa(grad, cfg, x_k, x_k - x_km1, eps)
-            on_arrays = step_iaa(sine_well.grad, cfg, vec(x_k), vec(x_k) - vec(x_km1), vec(eps))
+            on_floats = step_iaa(grad, cfg, x_k, x_k - x_km1, None, None, eps)
+            on_arrays = step_iaa(sine_well.grad, cfg, vec(x_k), vec(x_k) - vec(x_km1),
+                                 None, None, vec(eps))
         else:
             on_floats = step_baseline(grad, cfg, x_k, x_k - x_km1, grad(x_k), g_km1, eps)
             on_arrays = step_baseline(sine_well.grad, cfg, vec(x_k), vec(x_k) - vec(x_km1),
@@ -868,15 +892,16 @@ class TestArrayStateMatchesReference:
 
 
 def _seed_outcomes(fn, *args, **kwargs):
-    """_result_outcome of each result until the first Divergence, and that."""
+    """_result_outcome of each result until the first Divergence or
+    ValueError, and that."""
     outcomes = []
     with np.errstate(all="ignore"), warnings.catch_warnings():
         warnings.simplefilter("ignore")
         try:
             for res in fn(*args, **kwargs):
                 outcomes.append(_result_outcome(res))
-        except Divergence as exc:
-            outcomes.append((type(exc).__name__, str(exc), exc.when))
+        except (Divergence, ValueError) as exc:
+            outcomes.append((type(exc).__name__, str(exc), getattr(exc, "when", None)))
     return outcomes
 
 
@@ -1135,6 +1160,22 @@ class TestRunRowsMatchesRun:
         assert events == [12, 12, "run", 7, 12, 12]
         assert (_seed_outcomes(optimizers.run_rows, basin, runs)
                 == _seed_outcomes(one_run_per_row, basin, runs))
+
+
+    @pytest.mark.parametrize("x0", [[3.0, 3.0, 3.0], [3.0, math.nan]])
+    def test_refused_x0_raises_in_its_turn(self, x0):
+        # The second setup's x0 is refused, so its runs are not block rows:
+        # each is one run() call, which raises after the first setup's results.
+        noise = PerturbationSpec.gaussian(1e-3, 0.01)
+        iaa = AlgorithmConfig("IAA", alpha=0.4, beta=0.15, s=0.125, perturb=noise)
+        nag_h = AlgorithmConfig("NAG_H", alpha=0.7, beta=0.04, theta=0.05, perturb=noise)
+        stop = StoppingRule(tol=None, max_iter=12)
+        runs = [*seed_rows(iaa, (1, 2), [3.0, 3.0], stop), *seed_rows(nag_h, (1, 2), x0, stop)]
+        basin = builtin_problem("example52")
+        outcomes = _seed_outcomes(optimizers.run_rows, basin, runs)
+        assert outcomes == _seed_outcomes(one_run_per_row, basin, runs)
+        assert [outcome[1] for outcome in outcomes[:2]] == ["max_iter", "max_iter"]
+        assert outcomes[2][0] == "ValueError" and len(outcomes) == 3
 
 
 class TestFloatFormMatchesFallback:
