@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import configparser
 import math
+import os
 import warnings
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
@@ -62,6 +63,10 @@ class ExperimentConfig:
 
     def __post_init__(self):
         labels = [r.label for r in self.runs]
+        for label in labels:
+            # execute writes <out_dir>/<label>[_seed<n>].csv
+            if label in ("", ".", "..") or {os.sep, os.altsep} & set(label):
+                raise ValueError(f"run label {label!r} is not a file name")
         if len(labels) != len(set(labels)):
             raise ValueError(f"run labels must be unique, got {labels}")
         if not self.seeds:

@@ -25,8 +25,8 @@ from the problem's float form where it has one; only a record's own x is
 a fresh 1-element array.
 
 ``run_rows`` gives many runs their ``run`` results bit for bit, and picks
-the engine: the seeds of one config step as rows of an (n, d) block through
-the same ``step``, the problem's rows form
+the engine: the seeds of one config step as rows of an (n, d) block, in run
+order, through the same ``step``, the problem's rows form
 (:func:`inertiq.problems.rows_form`) and ``run``'s record rule
 (``_measures``); every other run is one ``run`` call.
 """
@@ -360,18 +360,21 @@ def run_rows(
     block, unless its columns could pass ``LOCKSTEP_FLOATS`` (max_iter *
     (d + 5) summed over its runs); every other run, and every run whose x0
     ``as_point`` refuses, is one ``run`` call, in its turn, since the block
-    pays only across rows.  In the block, row i of each (n, d) array is a
-    run's iterate; each group makes one ``step`` call per block step, and
-    the groups that perturb alike but for the seed share one
+    pays only across rows.  In the block, row i of each (n, d) array is the
+    iterate of the block's i-th run, and rows leave but keep run order.  A
+    stretch is a maximal span of adjacent rows of one group: per block step
+    each stretch makes one ``step`` call, and each span of adjacent
+    perturbed rows that draw alike but for the seed one
     ``sample_discrete_rows`` call.  f, grad f, the blow-up and stopping
     tests take every row at once, and the record values are formed per
-    group.  Each row stops on its own tol and max_iter, at a blow-up or at
-    a draw that raises.  A run's records are built from the block's columns
-    when its result is yielded.  A run that failed raises its exception (a
-    :class:`Divergence`, or the draw's ``ValueError``) in its turn, after
-    the results of the runs before it.  Each result issues the box warnings
-    ``run`` issues; other warnings raised while the block steps come with
-    the first block run's result.
+    stretch.  Each row stops on its own tol and max_iter, at a blow-up or at
+    a draw that raises; the rows after a failed one leave with it, since
+    their runs are never yielded.  A run's records are built from the
+    block's columns when its result is yielded.  A run that failed raises
+    its exception (a :class:`Divergence`, or the draw's ``ValueError``) in
+    its turn, after the results of the runs before it.  Each result issues
+    the box warnings ``run`` issues; other warnings raised while the block
+    steps come with the first block run's result.
     """
     runs = [(cfg, x0, stop or StoppingRule()) for cfg, x0, stop in runs]
     keys = [replace(cfg, perturb=cfg.perturb.with_seed(0)) for cfg, _, _ in runs]
@@ -429,40 +432,39 @@ def _slices(labels) -> list:
 def _lockstep(problem, runs, keys) -> tuple[list, list]:
     """Step every run's row, as ``run`` steps one, until each has stopped,
     blown up or failed to draw; ``keys`` are the runs' seedless configs.
-    Returns, per iterate k, (the block's rows as run positions, their
-    iterates, their record values (5, n_k)); and per run, its last k and
-    trigger, or its exception."""
+    Row i is the i-th run, and rows leave but keep run order.  A stretch is
+    a maximal span of adjacent rows with one key, and each is one ``step``
+    slice; each span of adjacent perturbed rows whose keys draw alike is
+    one ``sample_discrete_rows`` slice.  Returns, per iterate k, (the rows
+    as run positions, their iterates, their record values (5, n_k)); and
+    per run, its last k and trigger, its exception, or None if an earlier
+    run failed."""
     dim = problem.dimension
     func, grad = rows_form(problem)
-    # The rows go by group and the groups that draw alike are adjacent, so
-    # that each group and each draw is one slice of the block.
-    groups = list(dict.fromkeys(keys))
-    draw_rank = {spec: r for r, spec in enumerate(dict.fromkeys(g.perturb for g in groups))}
-    groups.sort(key=lambda g: draw_rank[g.perturb])
-    group_index = {g: j for j, g in enumerate(groups)}
-    rows = sorted(range(len(runs)), key=lambda i: group_index[keys[i]])
-    group_of = [group_index[keys[i]] for i in rows]
-    seeds = [runs[i][0].perturb.seed for i in rows]
-    # A NaN tol, a run without one, meets no value.
-    tols = np.array([math.nan if runs[i][2].tol is None else runs[i][2].tol for i in rows])
-    max_iters = np.array([runs[i][2].max_iter for i in rows])
-    specs = [None if g.perturb.is_zero else g.perturb for g in groups]
-    rules = [_measures(problem, g, problem.minimizer, lambda a: np.vecdot(a, a), np.sqrt,
-                       lambda x: np.full(len(x), np.nan)) for g in groups]
+    # Slices are labelled by group number: configs hash and compare slowly.
+    number = {key: g for g, key in enumerate(dict.fromkeys(keys))}
+    groups, group_of = list(number), [number[key] for key in keys]
+    rules = [_measures(problem, cfg, problem.minimizer, lambda a: np.vecdot(a, a), np.sqrt,
+                       lambda x: np.full(len(x), np.nan)) for cfg in groups]
     measures, reached = [m for m, _ in rules], rules[0][1]
+    specs = [None if cfg.perturb.is_zero else cfg.perturb for cfg in groups]
+    rows = list(range(len(runs)))
+    seeds = [cfg.perturb.seed for cfg, _, _ in runs]
+    # A NaN tol, a run without one, meets no value.
+    tols = np.array([math.nan if stop.tol is None else stop.tol for _, _, stop in runs])
+    max_iters = np.array([stop.max_iter for _, _, stop in runs])
     steps: list = []
     ends: list = [None] * len(runs)
 
-    def slices() -> tuple[list, list]:
-        """(group, start, stop) per live group, and (spec, start, stop) per
-        live slice of perturbed rows that draw alike."""
-        draws = _slices(specs[g] for g in group_of)
-        return _slices(group_of), [draw for draw in draws if draw[0] is not None]
-
-    spans, draws = slices()
+    def stretches() -> tuple[list, list]:
+        """(group, start, stop) per stretch, and (spec, start, stop) per span
+        of perturbed rows that draw alike."""
+        labels = [group_of[r] for r in rows]
+        draws = _slices(specs[g] for g in labels)
+        return _slices(labels), [draw for draw in draws if draw[0] is not None]
 
     def record(x: np.ndarray, d: np.ndarray) -> np.ndarray:
-        """Append the block's record values at x, d = x - x_prev, and return
+        """Append the rows' record values at x, d = x - x_prev, and return
         the gradients.  Python floats overflow and turn NaN silently, and so
         does this arithmetic."""
         fx, gx = func(x), grad(x)
@@ -473,29 +475,15 @@ def _lockstep(problem, runs, keys) -> tuple[list, list]:
         steps.append((rows, x, values))
         return gx
 
-    def keep(live) -> None:
-        """Drop the rows outside ``live`` (a bool per row) from the block."""
-        nonlocal rows, group_of, seeds, tols, max_iters, x_cur, d, g_cur, g_prev, spans, draws
-        rows, group_of, seeds = ([v for v, on in zip(column, live) if on]
-                                 for column in (rows, group_of, seeds))
-        live = np.asarray(live)
-        tols, max_iters = tols[live], max_iters[live]
-        x_cur, d, g_cur, g_prev = x_cur[live], d[live], g_cur[live], g_prev[live]
-        spans, draws = slices()
-
-    def fail(bad, errors: list) -> np.ndarray:
-        """End the rows in ``bad`` (a bool per row) with ``errors``.  The
-        rows of later runs leave with them, since they are never yielded;
-        returns the mask of the rows kept."""
-        failed = [r for r, b in zip(rows, bad) if b]
-        for r, exc in zip(failed, errors):
-            ends[r] = exc
-        live = np.array(rows) < min(failed)
-        keep(live)
-        return live
-
-    def settle(k: int) -> None:
-        """End the runs whose record k meets tol, and every run at max_iter."""
+    spans, draws = stretches()
+    x_0 = np.array([as_point(x0, dim) for _, x0, _ in runs])
+    x_cur = x_0.copy()
+    g_prev = record(x_0, x_0 - x_0)
+    d = x_cur - x_0
+    g_cur = record(x_cur, d)
+    k = 1
+    while True:
+        # End the runs whose record k meets tol, and every run at max_iter.
         values = steps[-1][2]
         met = reached(values[0], values[1], tols)
         done = met | (k >= max_iters)
@@ -503,51 +491,49 @@ def _lockstep(problem, runs, keys) -> tuple[list, list]:
             for r, stops, tol_met in zip(rows, done.tolist(), met.tolist()):
                 if stops:
                     ends[r] = (k, "tol" if tol_met else "max_iter")
-            keep(~done)
-
-    def draw(k: int) -> np.ndarray | None:
-        """The block's eps_k rows (zero where unperturbed), or None when a
-        draw raises: its rows then end as ``run`` ends."""
-        eps = np.zeros((len(rows), dim))
+            live = ~done
+            rows, seeds = ([v for v, on in zip(column, live.tolist()) if on]
+                           for column in (rows, seeds))
+            tols, max_iters, x_cur, d, g_cur, g_prev = (
+                column[live] for column in (tols, max_iters, x_cur, d, g_cur, g_prev))
+            if not rows:
+                break
+            spans, draws = stretches()
+        # run() raises a failed draw at this k, before its step; the block
+        # steps every row and then ends the first failing one.
+        eps, cut, failure = np.zeros((len(rows), dim)), len(rows), None
         for spec, a, b in draws:
             try:
                 eps[a:b] = sample_discrete_rows(spec, seeds[a:b], k, dim)
-            except ValueError as exc:  # run() raises it at this k
-                fail([a <= j < b for j in range(len(rows))], [exc] * (b - a))
-                return None
+            except ValueError as exc:
+                cut, failure = a, exc
+                break
         # run() skips a zero eps_k.  x + (-0.0) is x bit for bit, so a row
         # of -0.0 adds nothing either, whatever the other rows add.
         eps[~eps.any(axis=1)] = -0.0
-        return eps
-
-    x_0 = np.array([as_point(runs[i][1], dim) for i in rows])
-    x_cur = x_0.copy()
-    g_cur = record(x_0, x_0 - x_0)
-    d = x_cur - x_0
-    g_prev, g_cur = g_cur, record(x_cur, d)
-    k = 1
-    settle(k)
-    while rows:
-        eps = draw(k)
-        if eps is None:  # the failed rows left; draw for the rest
-            continue
-        x_next = []
-        for g, a, b in spans:
-            cfg, eps_k = groups[g], None if specs[g] is None else eps[a:b]
+        x_next = np.concatenate([
             # Looked up by the variant's name, as in run().
-            x_next.append((step_iaa if cfg.variant == "IAA" else step_baseline)(
-                grad, cfg, x_cur[a:b], d[a:b], g_cur[a:b], g_prev[a:b], eps_k))
-        x_next = np.concatenate(x_next)
+            (step_iaa if groups[g].variant == "IAA" else step_baseline)(
+                grad, groups[g], x_cur[a:b], d[a:b], g_cur[a:b], g_prev[a:b],
+                None if specs[g] is None else eps[a:b])
+            for g, a, b in spans])
         # NaN propagates through max and fails the comparison, as inf does.
-        peaks = np.abs(x_next).max(axis=1)
-        bad = ~(peaks <= BLOWUP_NORM)
-        if bad.any():
-            x_next = x_next[fail(bad, [_divergence(k + 1, p) for p in peaks[bad].tolist()])]
+        peaks = np.abs(x_next[:cut]).max(axis=1)
+        bad = np.flatnonzero(~(peaks <= BLOWUP_NORM))
+        if bad.size:
+            cut, failure = int(bad[0]), _divergence(k + 1, float(peaks[bad[0]]))
+        if failure is not None:
+            # The first failing run raises in its turn; the rows after it
+            # leave with it, since their runs are never yielded.
+            ends[rows[cut]] = failure
+            rows, seeds = rows[:cut], seeds[:cut]
+            tols, max_iters, x_cur, g_cur, g_prev, x_next = (
+                column[:cut] for column in (tols, max_iters, x_cur, g_cur, g_prev, x_next))
             if not rows:
                 break
+            spans, draws = stretches()
         k += 1
         d = x_next - x_cur
         x_cur = x_next
         g_prev, g_cur = g_cur, record(x_cur, d)
-        settle(k)
     return steps, ends

@@ -121,11 +121,17 @@ def counter_standard_normal(seed: int, index: int, n: int) -> Vector:
     stable across platforms and versions.  For n <= 8 the draw is a fresh
     copy of one row of its cached 64-index block.
     """
+    return _normal_rows((seed,), index, n)[0].copy()
+
+
+def _normal_rows(seeds, index: int, n: int) -> list:
+    """The n standard normals of counter ``index`` for each seed: up to
+    width 8 a read-only row of the seed's cached 64-index block, wider a
+    row hashed alone."""
     if n > _MAX_CACHED_N:
-        return _normals(seed, index, 1, n)[0]
-    index &= _M64
-    block = _normal_block(seed & _M64, index // _BLOCK, n)
-    return block[index % _BLOCK].copy()
+        return [_normals(seed, index, 1, n)[0] for seed in seeds]
+    block, row = divmod(index & _M64, _BLOCK)
+    return [_normal_block(seed & _M64, block, n)[row] for seed in seeds]
 
 
 @dataclass(frozen=True)
@@ -279,15 +285,9 @@ def sample_discrete_rows(spec: PerturbationSpec, seeds, k: int, dim: int) -> np.
         raise ValueError(f"iteration index must be >= 1, got {k}")
     if spec.model == "gaussian_decay":
         # _draw's Gaussian case without a with_seed copy of spec per seed,
-        # which takes two thirds of the general line's time.  Up to width 8
-        # each row is read from its cached block, which np.array copies, as
-        # counter_standard_normal would.
-        if dim > _MAX_CACHED_N:
-            rows = [counter_standard_normal(seed, k, dim) for seed in seeds]
-        else:
-            block, row = divmod(k & _M64, _BLOCK)
-            rows = [_normal_block(seed & _M64, block, dim)[row] for seed in seeds]
-        return spec.sigma_at(k) * np.array(rows)
+        # which takes two thirds of the general line's time; np.array copies
+        # the cached rows, as counter_standard_normal does.
+        return spec.sigma_at(k) * np.array(_normal_rows(seeds, k, dim))
     return np.array([_draw(spec.with_seed(seed), k, k, dim) for seed in seeds])
 
 

@@ -1,10 +1,13 @@
 """Presets, experiment execution, CSV/summary/checks emission, CLI surface."""
 
 import hashlib
+import importlib.util
+import json
 import re
 import textwrap
 import warnings
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -761,6 +764,38 @@ class TestCli:
             assert capsys.readouterr().err.startswith("usage error: "), argv
         assert not nodir.exists()
 
+    @pytest.mark.parametrize("label", ["../escaped", "a/b", ".", ".."])
+    def test_exp_refuses_a_label_that_is_no_file_name(self, tmp_path, capsys, label):
+        # execute joins each run label to --out-dir, so a label that is a
+        # path would write outside it.
+        config = tmp_path / "cfg" / "exp.ini"
+        config.parent.mkdir()
+        config.write_text(f"[experiment]\n[run {label}]\nalgo = hbm\nbeta = 0.04\nx0 = 3\n"
+                          "max_iter = 3\n")
+        out = tmp_path / "cfg" / "out"
+        assert main(["exp", str(config), "--out-dir", str(out), "--quiet"]) == 2
+        assert capsys.readouterr().err == (
+            f"usage error: run label {label!r} is not a file name\n")
+        assert sorted(p.name for p in tmp_path.rglob("*")) == ["cfg", "exp.ini"]
+
+    def test_empty_label_is_refused(self):
+        setup = experiments.RunSetup("", AlgorithmConfig("HBM", beta=0.04), (3.0,),
+                                     StoppingRule())
+        with pytest.raises(ValueError, match="run label '' is not a file name"):
+            ExperimentConfig(problem="example51", runs=(setup,))
+
+    def test_ode_prints_its_last_record(self, capsys):
+        assert main(["ode", "--problem", "example51", "--alpha", "1", "--beta", "0.1",
+                     "--x0", "3", "--t-end", "1", "--dt", "0.001",
+                     "--record-every", "100"]) == 0
+        records = integrate(builtin_problem("example51"), 1.0, 0.1, PerturbationSpec.none(),
+                            [3.0], [0.0], t0=0.0, t_end=1.0, dt=0.001, record_every=100)
+        last = records[-1]
+        assert len(records) == 11
+        assert capsys.readouterr().out == (
+            f"t=1 value_error={last.value_error:.6e} traj_error={last.traj_error:.6e} "
+            f"speed={last.speed:.6e} energy={last.energy:.6e} (11 records)\n")
+
     def test_opt_power_forcing_overflowing_t_p(self, capsys):
         # 7^400 overflows the float range at k = 7; the draw is then zero
         code = main(["opt", "--problem", "example51", "--algo", "iaa", "--alpha", "0.3",
@@ -943,3 +978,34 @@ class TestOdeCsvPinned:
         assert hashlib.sha256(out.read_bytes()).hexdigest() == (
             "3ca1e910453598f2fc8c93e51b2cff96de0ff3b91c3a3d2a25f40e69e99b9c60"
         )
+
+
+class TestPaperOutputsPinned:
+    """The benchmark's paper workload at seed 0, through cli.main with the
+    argv of perfbench/workloads.py: exit codes, stdout and the SHA-256 of
+    every file the presets write equal perfbench/reference.json."""
+
+    def test_paper_outputs_match_the_benchmark_reference(self, tmp_path, capsys):
+        root = Path(__file__).resolve().parents[1] / "perfbench"
+        reference = json.loads((root / "reference.json").read_text())["paper"]
+        expected = {**reference["*"], **reference["0"]}
+        spec = importlib.util.spec_from_file_location("perfbench_workloads",
+                                                      root / "workloads.py")
+        workloads = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(workloads)
+        paper = workloads.Paper(0)
+        argvs = {**paper.argv, **{name: ["exp", name, "--out-dir", str(tmp_path / name)]
+                                  for name in paper.PRESETS}}
+        assert sorted(argvs) == sorted(expected)
+
+        def sha256(data):
+            return hashlib.sha256(data).hexdigest()
+
+        for name, argv in argvs.items():
+            rc = main(argv)
+            out, err = capsys.readouterr()
+            got = {"rc": rc, "stdout": sha256(out.encode()), "stderr": err}
+            if name in paper.PRESETS:
+                got["files"] = {path.name: sha256(path.read_bytes())
+                                for path in (tmp_path / name).iterdir()}
+            assert got == expected[name], name

@@ -573,9 +573,10 @@ class TestModuleAttributeContract:
         assert calls == {"step": 11, "sample": 11}
 
     def test_run_rows_steps_each_group_and_draws_each_spec_once(self, monkeypatch):
-        # Three groups of two seeds in one block, two of them perturbed
-        # alike: per block step one step call per group and one draw per
-        # seedless spec, and one box check per group.
+        # Three groups of two seeds in one block, in plan order, the two
+        # perturbed alike next to each other: per block step one step call
+        # per group and one draw per seedless spec, and one box check per
+        # group.
         calls = []
 
         def counting(name):
@@ -596,8 +597,8 @@ class TestModuleAttributeContract:
         hbm = AlgorithmConfig("HBM", alpha=0.7, beta=0.04, perturb=drift)
         stop = StoppingRule(tol=None, max_iter=12)
         runs = [(dataclasses.replace(cfg, perturb=cfg.perturb.with_seed(seed)), [3.0, 3.0], stop)
-                for cfg, seed in ((iaa, 4), (hbm, 1), (nag_h, 9), (iaa, 2), (hbm, 3),
-                                  (nag_h, 6))]
+                for cfg, seed in ((iaa, 4), (iaa, 2), (nag_h, 9), (nag_h, 6), (hbm, 1),
+                                  (hbm, 3))]
         results = list(optimizers.run_rows(builtin_problem("example52"), runs))
         assert [res.final.k for res in results] == [12] * 6
         assert calls.count("step_iaa") == 11
@@ -1160,6 +1161,76 @@ class TestRunRowsMatchesRun:
         assert events == [12, 12, "run", 7, 12, 12]
         assert (_seed_outcomes(optimizers.run_rows, basin, runs)
                 == _seed_outcomes(one_run_per_row, basin, runs))
+
+    def test_interleaved_config_steps_once_per_stretch(self, monkeypatch):
+        # Rows keep run order, so IAA's two stretches, split by an HBM one,
+        # are two step calls per block step; the one draw spec is one draw.
+        calls = []
+
+        def counting(name):
+            fn = getattr(optimizers, name)
+
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return fn(*args, **kwargs)
+            return wrapper
+
+        noise = PerturbationSpec.gaussian(0.001, 0.01)
+        iaa = AlgorithmConfig("IAA", alpha=0.4, beta=0.15, s=0.125, perturb=noise)
+        hbm = AlgorithmConfig("HBM", alpha=0.7, beta=0.04, perturb=noise)
+        stop = StoppingRule(tol=None, max_iter=12)
+        runs = [*seed_rows(iaa, (1, 2), [3.0, 3.0], stop),
+                *seed_rows(hbm, (1, 2), [3.0, 3.0], stop),
+                *seed_rows(iaa, (3, 4), [-1.0, 2.0], stop)]
+        basin = builtin_problem("example52")
+        expected = _seed_outcomes(one_run_per_row, basin, runs)
+        with monkeypatch.context() as patch:
+            for name in ("step_iaa", "step_baseline", "sample_discrete_rows"):
+                patch.setattr(optimizers, name, counting(name))
+            outcomes = _seed_outcomes(optimizers.run_rows, basin, runs)
+        assert outcomes == expected
+        assert [outcome[1] for outcome in outcomes] == ["max_iter"] * 6
+        assert calls[:4] == ["sample_discrete_rows", "step_iaa", "step_baseline", "step_iaa"]
+        assert [calls.count(name) for name in ("step_iaa", "step_baseline",
+                                               "sample_discrete_rows")] == [22, 11, 11]
+
+    @pytest.mark.parametrize("order", ["draw error first", "blow-up first"])
+    def test_draw_error_and_blow_up_in_one_block_step(self, monkeypatch, order):
+        # At k = 1 one group's draw raises, as none of its later draws would,
+        # and another group's step blows up (step size 3 from 3e11): the
+        # block yields the calm runs, then raises whichever failing run comes
+        # first, as one run() per run does.
+        one, rows = optimizers.sample_discrete, optimizers.sample_discrete_rows
+        refused = PerturbationSpec.gaussian(0.25, 0.0)
+
+        def refuse(spec, k):
+            if k == 1 and spec.with_seed(0) == refused:
+                raise ValueError("no draw at k = 1")
+
+        monkeypatch.setattr(optimizers, "sample_discrete", lambda spec, k, dim: (
+            refuse(spec, k) or one(spec, k, dim)))
+        monkeypatch.setattr(optimizers, "sample_discrete_rows", lambda spec, seeds, k, dim: (
+            refuse(spec, k) or rows(spec, seeds, k, dim)))
+        sine_well = builtin_problem("example51")
+        calm = AlgorithmConfig("IAA", alpha=0.45, beta=0.01, s=1.0 / 6.0,
+                               perturb=PerturbationSpec.gaussian(1e-3, 0.01))
+        misdrawn = AlgorithmConfig("NAG", alpha=0.7, beta=0.04, perturb=refused)
+        wild = AlgorithmConfig("HBM", alpha=0.7, beta=3.0,
+                               perturb=PerturbationSpec.gaussian(1e-3, 0.0))
+        stop = StoppingRule(tol=None, max_iter=6)
+        failing = [seed_rows(misdrawn, (1, 2), [3.0], stop),
+                   seed_rows(wild, (1, 2), [3e11], stop)]
+        if order == "blow-up first":
+            failing.reverse()
+        runs = [*seed_rows(calm, (1, 2), [3.0], stop), *failing[0], *failing[1]]
+        outcomes = _seed_outcomes(optimizers.run_rows, sine_well, runs)
+        assert outcomes == _seed_outcomes(one_run_per_row, sine_well, runs)
+        assert [outcome[1] for outcome in outcomes[:2]] == ["max_iter", "max_iter"]
+        assert len(outcomes) == 3
+        if order == "blow-up first":
+            assert outcomes[2][0] == "Divergence" and outcomes[2][2] == 2
+        else:
+            assert outcomes[2][:2] == ("ValueError", "no draw at k = 1")
 
 
     @pytest.mark.parametrize("x0", [[3.0, 3.0, 3.0], [3.0, math.nan]])
