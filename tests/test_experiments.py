@@ -764,25 +764,25 @@ class TestCli:
             assert capsys.readouterr().err.startswith("usage error: "), argv
         assert not nodir.exists()
 
-    @pytest.mark.parametrize("label", ["../escaped", "a/b", ".", ".."])
-    def test_exp_refuses_a_label_that_is_no_file_name(self, tmp_path, capsys, label):
+    @pytest.mark.parametrize("label", ["", ".", "..", "a/b", "../escaped"])
+    def test_label_that_is_no_file_name_is_refused(self, label):
+        setup = experiments.RunSetup(label, AlgorithmConfig("HBM", beta=0.04), (3.0,),
+                                     StoppingRule())
+        with pytest.raises(ValueError, match=re.escape(f"run label {label!r} is not a file")):
+            ExperimentConfig(problem="example51", runs=(setup,))
+
+    def test_exp_refuses_a_path_label_and_writes_nothing(self, tmp_path, capsys):
         # execute joins each run label to --out-dir, so a label that is a
         # path would write outside it.
         config = tmp_path / "cfg" / "exp.ini"
         config.parent.mkdir()
-        config.write_text(f"[experiment]\n[run {label}]\nalgo = hbm\nbeta = 0.04\nx0 = 3\n"
+        config.write_text("[experiment]\n[run ../escaped]\nalgo = hbm\nbeta = 0.04\nx0 = 3\n"
                           "max_iter = 3\n")
         out = tmp_path / "cfg" / "out"
         assert main(["exp", str(config), "--out-dir", str(out), "--quiet"]) == 2
         assert capsys.readouterr().err == (
-            f"usage error: run label {label!r} is not a file name\n")
+            "usage error: run label '../escaped' is not a file name\n")
         assert sorted(p.name for p in tmp_path.rglob("*")) == ["cfg", "exp.ini"]
-
-    def test_empty_label_is_refused(self):
-        setup = experiments.RunSetup("", AlgorithmConfig("HBM", beta=0.04), (3.0,),
-                                     StoppingRule())
-        with pytest.raises(ValueError, match="run label '' is not a file name"):
-            ExperimentConfig(problem="example51", runs=(setup,))
 
     def test_ode_prints_its_last_record(self, capsys):
         assert main(["ode", "--problem", "example51", "--alpha", "1", "--beta", "0.1",
