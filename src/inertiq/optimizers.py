@@ -365,11 +365,14 @@ def run_rows(
     stretch is a maximal span of adjacent rows of one group: per block step
     each stretch makes one ``step`` call, and each span of adjacent
     perturbed rows that draw alike but for the seed one
-    ``sample_discrete_rows`` call.  f, grad f, the blow-up and stopping
-    tests take every row at once, and the record values are formed per
-    stretch.  Each row stops on its own tol and max_iter, at a blow-up or at
-    a draw that raises; the rows after a failed one leave with it, since
-    their runs are never yielded.  A run's records are built from the
+    ``sample_discrete_rows`` call.  x0 and stop are not part of a group, so
+    runs of one config with another x0 or stop, with another group's runs
+    between them, are two stretches and two ``step`` calls.  f, grad f, the
+    blow-up and stopping tests take every row at once, and the record
+    values are formed per stretch.  Each row stops on its own tol and
+    max_iter, at a blow-up or at a draw that raises; a row whose draw
+    raises is not stepped, and the rows after a failed one leave with it,
+    since their runs are never yielded.  A run's records are built from the
     block's columns when its result is yielded.  A run that failed raises
     its exception (a :class:`Divergence`, or the draw's ``ValueError``) in
     its turn, after the results of the runs before it.  Each result issues
@@ -403,8 +406,8 @@ def run_rows(
         grad_evals = METHODS[key.variant].grad_evals
         records, rows = [], None
         for k, (block_rows, x, values) in enumerate(steps[:last + 1]):
-            if block_rows is not rows:  # rows only leave the block
-                rows, p = block_rows, block_rows.index(b)
+            if block_rows is not rows:  # rows only leave, and keep run order
+                rows, p = block_rows, int(np.searchsorted(block_rows, b))
             records.append(IterateRecord(k, x[p].copy(), *values[:, p].tolist(),
                                          grad_evals(k)))
         yield RunResult(records, trigger, records[-1].n_grad_evals, box_warnings[key])
@@ -435,7 +438,9 @@ def _lockstep(problem, runs, keys) -> tuple[list, list]:
     Row i is the i-th run, and rows leave but keep run order.  A stretch is
     a maximal span of adjacent rows with one key, and each is one ``step``
     slice; each span of adjacent perturbed rows whose keys draw alike is
-    one ``sample_discrete_rows`` slice.  Returns, per iterate k, (the rows
+    one ``sample_discrete_rows`` slice.  A key's rows need not be adjacent:
+    runs with one key and other x0 or stops may have other keys' rows
+    between them.  Returns, per iterate k, (the rows
     as run positions, their iterates, their record values (5, n_k)); and
     per run, its last k and trigger, its exception, or None if an earlier
     run failed."""
@@ -443,13 +448,14 @@ def _lockstep(problem, runs, keys) -> tuple[list, list]:
     func, grad = rows_form(problem)
     # Slices are labelled by group number: configs hash and compare slowly.
     number = {key: g for g, key in enumerate(dict.fromkeys(keys))}
-    groups, group_of = list(number), [number[key] for key in keys]
+    groups, group_of = list(number), np.array([number[key] for key in keys])
     rules = [_measures(problem, cfg, problem.minimizer, lambda a: np.vecdot(a, a), np.sqrt,
                        lambda x: np.full(len(x), np.nan)) for cfg in groups]
     measures, reached = [m for m, _ in rules], rules[0][1]
     specs = [None if cfg.perturb.is_zero else cfg.perturb for cfg in groups]
-    rows = list(range(len(runs)))
-    seeds = [cfg.perturb.seed for cfg, _, _ in runs]
+    # Every per-row column is an array, so one index trims them all.
+    rows = np.arange(len(runs))
+    seeds = np.array([cfg.perturb.seed for cfg, _, _ in runs], dtype=object)
     # A NaN tol, a run without one, meets no value.
     tols = np.array([math.nan if stop.tol is None else stop.tol for _, _, stop in runs])
     max_iters = np.array([stop.max_iter for _, _, stop in runs])
@@ -459,7 +465,7 @@ def _lockstep(problem, runs, keys) -> tuple[list, list]:
     def stretches() -> tuple[list, list]:
         """(group, start, stop) per stretch, and (spec, start, stop) per span
         of perturbed rows that draw alike."""
-        labels = [group_of[r] for r in rows]
+        labels = group_of[rows].tolist()
         draws = _slices(specs[g] for g in labels)
         return _slices(labels), [draw for draw in draws if draw[0] is not None]
 
@@ -488,19 +494,16 @@ def _lockstep(problem, runs, keys) -> tuple[list, list]:
         met = reached(values[0], values[1], tols)
         done = met | (k >= max_iters)
         if done.any():
-            for r, stops, tol_met in zip(rows, done.tolist(), met.tolist()):
-                if stops:
-                    ends[r] = (k, "tol" if tol_met else "max_iter")
-            live = ~done
-            rows, seeds = ([v for v, on in zip(column, live.tolist()) if on]
-                           for column in (rows, seeds))
-            tols, max_iters, x_cur, d, g_cur, g_prev = (
-                column[live] for column in (tols, max_iters, x_cur, d, g_cur, g_prev))
-            if not rows:
+            for r, tol_met in zip(rows[done].tolist(), met[done].tolist()):
+                ends[r] = (k, "tol" if tol_met else "max_iter")
+            rows, seeds, tols, max_iters, x_cur, d, g_cur, g_prev = (
+                column[~done] for column in (rows, seeds, tols, max_iters, x_cur, d, g_cur, g_prev))
+            if not len(rows):
                 break
             spans, draws = stretches()
-        # run() raises a failed draw at this k, before its step; the block
-        # steps every row and then ends the first failing one.
+        # run() raises a failed draw at this k, before its step, so the rows
+        # from the first failing draw on are not stepped (a draw slice starts
+        # a stretch).
         eps, cut, failure = np.zeros((len(rows), dim)), len(rows), None
         for spec, a, b in draws:
             try:
@@ -511,14 +514,15 @@ def _lockstep(problem, runs, keys) -> tuple[list, list]:
         # run() skips a zero eps_k.  x + (-0.0) is x bit for bit, so a row
         # of -0.0 adds nothing either, whatever the other rows add.
         eps[~eps.any(axis=1)] = -0.0
-        x_next = np.concatenate([
-            # Looked up by the variant's name, as in run().
-            (step_iaa if groups[g].variant == "IAA" else step_baseline)(
-                grad, groups[g], x_cur[a:b], d[a:b], g_cur[a:b], g_prev[a:b],
-                None if specs[g] is None else eps[a:b])
-            for g, a, b in spans])
+        x_next = np.empty((cut, dim))
+        for g, a, b in spans:
+            if a < cut:
+                # Looked up by the variant's name, as in run().
+                x_next[a:b] = (step_iaa if groups[g].variant == "IAA" else step_baseline)(
+                    grad, groups[g], x_cur[a:b], d[a:b], g_cur[a:b], g_prev[a:b],
+                    None if specs[g] is None else eps[a:b])
         # NaN propagates through max and fails the comparison, as inf does.
-        peaks = np.abs(x_next[:cut]).max(axis=1)
+        peaks = np.abs(x_next).max(axis=1)
         bad = np.flatnonzero(~(peaks <= BLOWUP_NORM))
         if bad.size:
             cut, failure = int(bad[0]), _divergence(k + 1, float(peaks[bad[0]]))
@@ -526,10 +530,10 @@ def _lockstep(problem, runs, keys) -> tuple[list, list]:
             # The first failing run raises in its turn; the rows after it
             # leave with it, since their runs are never yielded.
             ends[rows[cut]] = failure
-            rows, seeds = rows[:cut], seeds[:cut]
-            tols, max_iters, x_cur, g_cur, g_prev, x_next = (
-                column[:cut] for column in (tols, max_iters, x_cur, g_cur, g_prev, x_next))
-            if not rows:
+            rows, seeds, tols, max_iters, x_cur, d, g_cur, g_prev, x_next = (
+                column[:cut] for column in (rows, seeds, tols, max_iters, x_cur, d, g_cur, g_prev,
+                                            x_next))
+            if not len(rows):
                 break
             spans, draws = stretches()
         k += 1

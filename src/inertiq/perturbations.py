@@ -121,7 +121,8 @@ def counter_standard_normal(seed: int, index: int, n: int) -> Vector:
     stable across platforms and versions.  For n <= 8 the draw is a fresh
     copy of one row of its cached 64-index block.
     """
-    return _normal_rows((seed,), index, n)[0].copy()
+    row = _normal_rows((seed,), index, n)[0]
+    return row.copy() if n <= _MAX_CACHED_N else row
 
 
 def _normal_rows(seeds, index: int, n: int) -> list:

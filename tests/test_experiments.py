@@ -981,11 +981,11 @@ class TestOdeCsvPinned:
 
 
 class TestPaperOutputsPinned:
-    """The benchmark's paper workload at seed 0, through cli.main with the
-    argv of perfbench/workloads.py: exit codes, stdout and the SHA-256 of
-    every file the presets write equal perfbench/reference.json."""
+    """The benchmark's paper workload at seed 0, through its own tasks,
+    digests and check (perfbench/workloads.py): exit codes, stdout and the
+    SHA-256 of every file the presets write equal perfbench/reference.json."""
 
-    def test_paper_outputs_match_the_benchmark_reference(self, tmp_path, capsys):
+    def test_paper_outputs_match_the_benchmark_reference(self, tmp_path):
         root = Path(__file__).resolve().parents[1] / "perfbench"
         reference = json.loads((root / "reference.json").read_text())["paper"]
         expected = {**reference["*"], **reference["0"]}
@@ -994,18 +994,8 @@ class TestPaperOutputsPinned:
         workloads = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(workloads)
         paper = workloads.Paper(0)
-        argvs = {**paper.argv, **{name: ["exp", name, "--out-dir", str(tmp_path / name)]
-                                  for name in paper.PRESETS}}
-        assert sorted(argvs) == sorted(expected)
-
-        def sha256(data):
-            return hashlib.sha256(data).hexdigest()
-
-        for name, argv in argvs.items():
-            rc = main(argv)
-            out, err = capsys.readouterr()
-            got = {"rc": rc, "stdout": sha256(out.encode()), "stderr": err}
-            if name in paper.PRESETS:
-                got["files"] = {path.name: sha256(path.read_bytes())
-                                for path in (tmp_path / name).iterdir()}
-            assert got == expected[name], name
+        outcomes = {name: thunk() for name, thunk in paper.tasks(tmp_path)}
+        paper.finish(outcomes, tmp_path)
+        assert sorted(outcomes) == sorted(expected)
+        for name, outcome in outcomes.items():
+            assert paper.check(name, outcome, expected[name]) is None, name

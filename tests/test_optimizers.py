@@ -1199,7 +1199,8 @@ class TestRunRowsMatchesRun:
         # At k = 1 one group's draw raises, as none of its later draws would,
         # and another group's step blows up (step size 3 from 3e11): the
         # block yields the calm runs, then raises whichever failing run comes
-        # first, as one run() per run does.
+        # first, as one run() per run does.  The rows from the refused draw
+        # on are not stepped, as run() does not step a run whose draw raised.
         one, rows = optimizers.sample_discrete, optimizers.sample_discrete_rows
         refused = PerturbationSpec.gaussian(0.25, 0.0)
 
@@ -1223,15 +1224,20 @@ class TestRunRowsMatchesRun:
         if order == "blow-up first":
             failing.reverse()
         runs = [*seed_rows(calm, (1, 2), [3.0], stop), *failing[0], *failing[1]]
-        outcomes = _seed_outcomes(optimizers.run_rows, sine_well, runs)
+        stepped, step = [], optimizers.step
+        with monkeypatch.context() as patch:
+            for name in ("step_iaa", "step_baseline"):
+                patch.setattr(optimizers, name, lambda grad, cfg, *args: (
+                    stepped.append(cfg.variant) or step(grad, cfg, *args)))
+            outcomes = _seed_outcomes(optimizers.run_rows, sine_well, runs)
         assert outcomes == _seed_outcomes(one_run_per_row, sine_well, runs)
+        assert "NAG" not in stepped
         assert [outcome[1] for outcome in outcomes[:2]] == ["max_iter", "max_iter"]
         assert len(outcomes) == 3
         if order == "blow-up first":
             assert outcomes[2][0] == "Divergence" and outcomes[2][2] == 2
         else:
             assert outcomes[2][:2] == ("ValueError", "no draw at k = 1")
-
 
     @pytest.mark.parametrize("x0", [[3.0, 3.0, 3.0], [3.0, math.nan]])
     def test_refused_x0_raises_in_its_turn(self, x0):
