@@ -28,7 +28,7 @@ forming a Hessian.  beta = 0 recovers the classical heavy-ball flow.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .analysis import _continuous_energy, continuous_energy  # noqa: F401 (perfbench wraps it)
 from .errors import BLOWUP_NORM, Divergence
@@ -44,9 +44,9 @@ from .problems import Problem, Vector, as_point, state_ops
 MAX_RECORDS = 10**6  # the most records one integrate() call keeps
 
 
-@dataclass(frozen=True)
-class TrajectoryRecord:
-    """Instrumented snapshot along a trajectory.
+class TrajectoryRecord(NamedTuple):
+    """Instrumented snapshot along a trajectory, a named tuple like
+    :class:`inertiq.optimizers.IterateRecord`.
 
     value_error is f(x + beta*v) - f* (raw value if f* unknown), traj_error
     is |x - x*| (nan if x* unknown), speed is |v|, energy the continuous

@@ -21,7 +21,7 @@ import configparser
 import math
 import os
 import warnings
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -64,7 +64,7 @@ class ExperimentConfig:
     def __post_init__(self):
         labels = [r.label for r in self.runs]
         for label in labels:
-            # execute writes <out_dir>/<label>[_seed<n>].csv
+            # execute writes <out_dir>/<label>[_seed<n>].csv (csv_name)
             if label in ("", ".", "..") or {os.sep, os.altsep} & set(label):
                 raise ValueError(f"run label {label!r} is not a file name")
         if len(labels) != len(set(labels)):
@@ -73,6 +73,24 @@ class ExperimentConfig:
             raise ValueError("seeds must not be empty")
         if len(self.seeds) != len(set(self.seeds)):
             raise ValueError(f"seeds must be unique, got {list(self.seeds)}")
+        owners: dict[str, str] = {}
+        for setup in self.runs:
+            for seed in self.seeds_of(setup):
+                name = csv_name(setup.label, seed)
+                if owners.setdefault(name, setup.label) != setup.label:
+                    raise ValueError(f"runs {owners[name]!r} and {setup.label!r} "
+                                     f"would both write {name}")
+
+    def seeds_of(self, setup: RunSetup) -> tuple:
+        """The seeds ``execute`` runs ``setup`` at: every seed for a
+        stochastic run, and (None,) for a deterministic one, which runs once."""
+        return self.seeds if setup.config.perturb.is_stochastic else (None,)
+
+
+def csv_name(label: str, seed: int | None) -> str:
+    """The file ``execute`` writes a run's records to: ``<label>.csv`` for a
+    deterministic run, else ``<label>_seed<n>.csv``."""
+    return f"{label}.csv" if seed is None else f"{label}_seed{seed}.csv"
 
 
 @dataclass(frozen=True)
@@ -186,17 +204,17 @@ _FIELD_FORMATS = {"int": "%d", "float": "%.17g", "Vector": "%.17g"}
 
 
 def write_records_csv(path: Path, records, header_note: str = "") -> None:
-    """One row per record; the columns are the record dataclass's fields in
-    declaration order, a ``Vector`` field spanning one per coordinate (``x``
-    at d = 1, else ``x0, x1, ...``), each formatted by its annotation.  Each
-    row is one ``%`` of one format string."""
+    """One row per record; the columns are the record type's fields in
+    order, a ``Vector`` field spanning one per coordinate (``x`` at d = 1,
+    else ``x0, x1, ...``), each formatted by its annotation.  Each row is
+    one ``%`` of one format string."""
     names, formats, columns = [], [], []
-    for f in fields(records[0]):
-        values = [getattr(rec, f.name) for rec in records]
+    for (name, kind), values in zip(type(records[0]).__annotations__.items(), zip(*records)):
+        kind = getattr(kind, "__forward_arg__", kind)  # NamedTuple wraps it in a ForwardRef
         # A float from tolist() renders as its np.float64 does, faster.
-        cols = np.array(values).T.tolist() if f.type == "Vector" else [values]
-        names += [f.name] if len(cols) == 1 else [f"{f.name}{i}" for i in range(len(cols))]
-        formats += [_FIELD_FORMATS[f.type]] * len(cols)
+        cols = np.array(values).T.tolist() if kind == "Vector" else [values]
+        names += [name] if len(cols) == 1 else [f"{name}{i}" for i in range(len(cols))]
+        formats += [_FIELD_FORMATS[kind]] * len(cols)
         columns += cols
     row = ",".join(formats)
     lines = [f"# {header_note}"] if header_note else []
@@ -292,7 +310,7 @@ def execute(
         (setup if seed is None else replace(setup, config=replace(
             setup.config, perturb=setup.config.perturb.with_seed(seed))), seed)
         for setup in cfg.runs
-        for seed in (cfg.seeds if setup.config.perturb.is_stochastic else (None,))
+        for seed in cfg.seeds_of(setup)
     ]
     # One result per entry, in order, each built and warned about when due.
     results = run_rows(problem, [(setup.config, setup.x0, setup.stop) for setup, _ in plan])
@@ -332,8 +350,7 @@ def execute(
         if seed is None or seed == cfg.seeds[0]:
             checks.extend(_t41_checks(problem, setup, result))
         if out is not None:
-            suffix = "" if seed is None else f"_seed{seed}"
-            write_run_csv(out / f"{setup.label}{suffix}.csv", result, setup)
+            write_run_csv(out / csv_name(setup.label, seed), result, setup)
         del result, series, final  # this run's records go before the next is built
 
     ordering = _ordering(cfg, stats)

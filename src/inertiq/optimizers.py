@@ -133,9 +133,9 @@ class StoppingRule:
             raise ValueError("max_iter must be a positive integer")
 
 
-@dataclass(frozen=True)
-class IterateRecord:
-    """Per-iterate instrumentation.
+class IterateRecord(NamedTuple):
+    """Per-iterate instrumentation, a named tuple: built at tuple speed,
+    immutable, and ``_replace`` makes an edited copy.
 
     value_error is f(x_k) - f* when f* is known, else the raw value; dist
     is |x_k - x*| (nan if unknown); energy is the discrete Lyapunov energy
@@ -345,6 +345,8 @@ def _divergence(k: int, peak: float) -> Divergence:
 
 # The most floats a block keeps as columns: max_iter iterates times d
 # coordinates and five record values, summed over the runs; 8 MB in all.
+# Stacking a stretch holds its columns twice for a moment, so a block of
+# one stretch peaks at up to twice that.
 LOCKSTEP_FLOATS = 1 << 20
 
 
@@ -403,13 +405,19 @@ def run_rows(
         if isinstance(ends[b], Exception):
             raise ends[b]
         last, trigger = ends[b]
-        grad_evals = METHODS[key.variant].grad_evals
-        records, rows = [], None
-        for k, (block_rows, x, values) in enumerate(steps[:last + 1]):
-            if block_rows is not rows:  # rows only leave, and keep run order
-                rows, p = block_rows, int(np.searchsorted(block_rows, b))
-            records.append(IterateRecord(k, x[p].copy(), *values[:, p].tolist(),
-                                         grad_evals(k)))
+        # The run's row is in every stretch up to the one its last iterate
+        # ends, since rows only leave and keep run order.
+        xs, values = [], []
+        for rows, block_xs, block_values in steps:
+            p = int(np.searchsorted(rows, b))
+            if p == len(rows) or rows[p] != b:
+                break
+            xs.append(block_xs[:, p])
+            values.append(block_values[:, :, p])
+        ks, grad_evals = range(last + 1), METHODS[key.variant].grad_evals
+        # Each record's x is a row of one (last + 1, d) array of this run's own.
+        records = list(map(IterateRecord, ks, np.concatenate(xs),
+                           *np.concatenate(values).T.tolist(), map(grad_evals, ks)))
         yield RunResult(records, trigger, records[-1].n_grad_evals, box_warnings[key])
 
 
@@ -440,10 +448,10 @@ def _lockstep(problem, runs, keys) -> tuple[list, list]:
     slice; each span of adjacent perturbed rows whose keys draw alike is
     one ``sample_discrete_rows`` slice.  A key's rows need not be adjacent:
     runs with one key and other x0 or stops may have other keys' rows
-    between them.  Returns, per iterate k, (the rows
-    as run positions, their iterates, their record values (5, n_k)); and
-    per run, its last k and trigger, its exception, or None if an earlier
-    run failed."""
+    between them.  Returns, per stretch of block steps with one row set,
+    (the rows as run positions, their iterates (K, n, d), their record
+    values (K, 5, n)); and per run, its last k and trigger, its exception,
+    or None if an earlier run failed."""
     dim = problem.dimension
     func, grad = rows_form(problem)
     # Slices are labelled by group number: configs hash and compare slowly.
@@ -478,7 +486,10 @@ def _lockstep(problem, runs, keys) -> tuple[list, list]:
         with np.errstate(over="ignore", invalid="ignore"):
             for g, a, b in spans:
                 values[:, a:b] = measures[g](fx[a:b], gx[a:b], x[a:b], d[a:b])
-        steps.append((rows, x, values))
+        if not steps or steps[-1][0] is not rows:
+            steps.append((rows, [], []))
+        steps[-1][1].append(x)
+        steps[-1][2].append(values)
         return gx
 
     spans, draws = stretches()
@@ -490,7 +501,7 @@ def _lockstep(problem, runs, keys) -> tuple[list, list]:
     k = 1
     while True:
         # End the runs whose record k meets tol, and every run at max_iter.
-        values = steps[-1][2]
+        values = steps[-1][2][-1]
         met = reached(values[0], values[1], tols)
         done = met | (k >= max_iters)
         if done.any():
@@ -540,4 +551,8 @@ def _lockstep(problem, runs, keys) -> tuple[list, list]:
         d = x_next - x_cur
         x_cur = x_next
         g_prev, g_cur = g_cur, record(x_cur, d)
+    # Stacked in place, so each stretch's per-step arrays go as soon as it
+    # is stacked and only one stretch is held twice at a time.
+    for i, (block_rows, xs, values) in enumerate(steps):
+        steps[i] = (block_rows, np.stack(xs), np.stack(values))
     return steps, ends

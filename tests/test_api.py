@@ -1,6 +1,7 @@
 """The public API: ``inertiq.__all__`` and the package's public names agree,
 every exception class the package defines is raised somewhere and caught by
-name somewhere, and the README's library example runs and its calls bind."""
+name somewhere, the record types are named tuples, and the README's library
+example runs and its calls bind."""
 
 import ast
 import importlib
@@ -9,8 +10,15 @@ import re
 import types
 from pathlib import Path
 
+import numpy as np
+import pytest
+
 import inertiq
 from inertiq import errors
+from inertiq.experiments import write_records_csv
+from inertiq.optimizers import IterateRecord, run_rows
+from inertiq.dynamics import TrajectoryRecord
+from problem_helpers import seed_rows
 
 
 class TestPublicApi:
@@ -78,6 +86,69 @@ class TestErrors:
         caught = _scan(PACKAGE + PERFBENCH, ast.ExceptHandler, "type")
         assert sorted(_error_classes() - caught) == []
         assert "InertiqError" in caught and "Divergence" in caught  # the scan saw cli and perfbench
+
+
+def _records():
+    """Records of each kind: ``run`` at d = 1, a two-seed ``run_rows`` block
+    at d = 2, and ``integrate`` at d = 2."""
+    basin = inertiq.builtin_problem("example52")
+    stop = inertiq.StoppingRule(tol=None, max_iter=5)
+    noise = inertiq.PerturbationSpec.gaussian(0.001, 0.01)
+    cfg = inertiq.AlgorithmConfig("IAA", alpha=0.4, beta=0.15, s=0.125, perturb=noise)
+    rows = list(run_rows(basin, seed_rows(cfg, (1, 2), [3.0, 3.0], stop)))
+    return {
+        "run": inertiq.run(inertiq.builtin_problem("example51"),
+                           inertiq.AlgorithmConfig("HBM", alpha=0.7, beta=0.04), [3.0],
+                           stop=stop).records,
+        "run_rows": rows[0].records + rows[1].records,
+        "integrate": inertiq.integrate(basin, 1.0, 0.1, inertiq.PerturbationSpec.none(),
+                                       [3.0, 3.0], [0.0, 0.0], t_end=0.05, dt=0.01),
+    }
+
+
+class TestRecordTypes:
+    KIND = {"run": IterateRecord, "run_rows": IterateRecord, "integrate": TrajectoryRecord}
+
+    @pytest.mark.parametrize("source", sorted(KIND))
+    def test_named_tuples(self, source):
+        records = _records()[source]
+        assert len(records) > 2
+        assert all(type(rec) is self.KIND[source] for rec in records)
+        assert isinstance(records[0], tuple)
+
+    @pytest.mark.parametrize("source", sorted(KIND))
+    def test_fields_cannot_be_assigned(self, source):
+        rec = _records()[source][-1]
+        for name in rec._fields:
+            with pytest.raises(AttributeError):
+                setattr(rec, name, 0.0)
+        assert rec._replace(energy=1.5).energy == 1.5 and rec.energy != 1.5
+
+    def test_iterate_record_default(self):
+        rec = IterateRecord(0, np.zeros(1), 1.0, 2.0, 3.0, 0.0, 4.0)
+        assert rec.n_grad_evals == 0 and IterateRecord._field_defaults == {"n_grad_evals": 0}
+
+    @pytest.mark.parametrize("source", sorted(KIND))
+    def test_fields_are_the_csv_header(self, tmp_path, source):
+        records = _records()[source]
+        out = tmp_path / "records.csv"
+        write_records_csv(out, records)
+        header = out.read_text().splitlines()[0].split(",")
+        dim = records[0].x.size
+        expected = [col for name in records[0]._fields
+                    for col in ([f"{name}{i}" for i in range(dim)]
+                                if name in ("x", "v") and dim > 1 else [name])]
+        assert header == expected
+
+    def test_block_runs_own_their_arrays(self):
+        # A block run's x are rows of one array that belongs to that run alone.
+        records = _records()["run_rows"]
+        first, second = records[:len(records) // 2], records[len(records) // 2:]
+        assert [r.k for r in first] == [r.k for r in second] == list(range(6))
+        for a in first:
+            assert not any(np.shares_memory(a.x, b.x) for b in second)
+        for i, a in enumerate(first):
+            assert not any(np.shares_memory(a.x, b.x) for b in first[i + 1:])
 
 
 class TestReadme:

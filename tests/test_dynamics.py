@@ -610,7 +610,7 @@ class TestRateCertificate:
     def test_nan_energy_fails(self, sine_well, bad):
         recs = integrate(sine_well, 1.0, 0.1, PerturbationSpec.none(),
                          [3.0], [0.0], t_end=0.1, dt=1e-2)
-        recs[bad] = [dataclasses.replace(r, energy=math.nan) for r in recs[bad]]
+        recs[bad] = [r._replace(energy=math.nan) for r in recs[bad]]
         passed, worst = rate_certificate(recs, 24.0 / 49.0, sine_well.kappa)
         assert not passed
         assert math.isnan(worst)

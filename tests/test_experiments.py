@@ -390,8 +390,8 @@ class TestT41Checks:
     def test_violations_name_their_k(self):
         # 1 - rho = 0.99942, so a 10x inflation of one record trips neither check
         def doctor(recs):
-            recs[5] = replace(recs[5], energy=2.0 * recs[4].energy,
-                              value_error=2.0 * recs[1].energy)
+            recs[5] = recs[5]._replace(energy=2.0 * recs[4].energy,
+                                       value_error=2.0 * recs[1].energy)
             return recs
 
         assert self._doctored_checks(doctor) == [
@@ -403,7 +403,7 @@ class TestT41Checks:
         nan = float("nan")
 
         def doctor(recs):
-            return [replace(r, value_error=nan, dist=nan, step=nan, energy=nan) for r in recs]
+            return [r._replace(value_error=nan, dist=nan, step=nan, energy=nan) for r in recs]
 
         assert self._doctored_checks(doctor) == [
             "FAIL T41_energy_contraction[IAA] (rho=0.000577501, first violation after k=1)",
@@ -784,6 +784,51 @@ class TestCli:
             "usage error: run label '../escaped' is not a file name\n")
         assert sorted(p.name for p in tmp_path.rglob("*")) == ["cfg", "exp.ini"]
 
+    _COLLIDING = textwrap.dedent("""\
+        [experiment]
+        seeds = 1
+        [run a]
+        algo = hbm
+        beta = 0.04
+        x0 = 3
+        max_iter = 5
+        perturb = gauss:sigma0=0.001,decay=0.01
+        [run a_seed1]
+        algo = hbm
+        beta = 0.04
+        x0 = 3
+        max_iter = 14
+        """)
+
+    def test_runs_that_would_write_one_csv_are_refused(self, tmp_path):
+        # A stochastic [run a] at seed 1 writes a_seed1.csv, as a deterministic
+        # [run a_seed1] does; in either order the second would overwrite the first.
+        first, second = self._COLLIDING.split("[run a_seed1]\n")
+        swapped = tmp_path / "swapped.ini"
+        swapped.write_text(first.replace("[run a]\n", "[run a_seed1]\n" + second + "[run a]\n"))
+        path = tmp_path / "exp.ini"
+        path.write_text(self._COLLIDING)
+        for config, labels in ((path, "'a' and 'a_seed1'"), (swapped, "'a_seed1' and 'a'")):
+            with pytest.raises(ValueError, match=f"^runs {labels} would both write a_seed1.csv$"):
+                read_config(config)
+
+    def test_exp_refuses_runs_that_would_write_one_csv_and_writes_nothing(self, tmp_path,
+                                                                          capsys):
+        config = tmp_path / "exp.ini"
+        config.write_text(self._COLLIDING.replace("seeds = 1", "seeds = 2"))
+        out = tmp_path / "out"
+        # Seed 2 names a_seed2.csv, so the file runs; --seeds 1 collides.
+        assert main(["exp", str(config), "--quiet"]) == 0
+        assert main(["exp", str(config), "--seeds", "3,1", "--out-dir", str(out),
+                     "--quiet"]) == 2
+        assert capsys.readouterr().err == (
+            "usage error: runs 'a' and 'a_seed1' would both write a_seed1.csv\n")
+        config.write_text(self._COLLIDING)
+        assert main(["exp", str(config), "--out-dir", str(out), "--quiet"]) == 2
+        assert capsys.readouterr().err == (
+            "usage error: runs 'a' and 'a_seed1' would both write a_seed1.csv\n")
+        assert sorted(p.name for p in tmp_path.rglob("*")) == ["exp.ini"]
+
     def test_ode_prints_its_last_record(self, capsys):
         assert main(["ode", "--problem", "example51", "--alpha", "1", "--beta", "0.1",
                      "--x0", "3", "--t-end", "1", "--dt", "0.001",
@@ -978,6 +1023,48 @@ class TestOdeCsvPinned:
         assert hashlib.sha256(out.read_bytes()).hexdigest() == (
             "3ca1e910453598f2fc8c93e51b2cff96de0ff3b91c3a3d2a25f40e69e99b9c60"
         )
+
+
+class TestOptCsvPinned:
+    """SHA-256 of run CSVs from ``opt --out`` at d = 1 (column ``x``) and
+    d = 2 (``x0,x1``), fixed while records were still dataclasses (x86-64,
+    IEEE-754 doubles)."""
+
+    ALGO = {
+        "iaa": ["--alpha", "0.3", "--beta", "0.2", "--step", "0.125"],
+        "hbm-h": ["--alpha", "0.7", "--beta", "0.04", "--theta", "0.05"],
+    }
+    PERTURB = {"none": "none", "gauss": "gauss:sigma0=0.01,decay=0.01"}
+    PINNED = {
+        ("example51", "iaa", "none"):
+            "d02a14b538c78ebd28ad025611ab75649fd1898ada0e450f2de88214749f57e9",
+        ("example51", "iaa", "gauss"):
+            "fa1a5d1e75e7b49af6bdd1d5ee729c5cc015de07a4704988d04ba6a924c0d8f8",
+        ("example51", "hbm-h", "none"):
+            "1cb7d8ffd8f4d8ab05a7a4c30d8db81c755cf59ef12574ffaa2ebcd36971f825",
+        ("example51", "hbm-h", "gauss"):
+            "11b9eb685e9519fb0bcddfb296d76f5201e1d4d13d050114e103e3799e9e1db6",
+        ("example52", "iaa", "none"):
+            "e0035b27501e915c622e767fc394afb7573d31aa4027df13fc998dc133db7355",
+        ("example52", "iaa", "gauss"):
+            "51aefc022c1502a82b62f047f3e7745f6c48cc29bcf25db15e9ef0c7cef99b5d",
+        ("example52", "hbm-h", "none"):
+            "173cdc78e9d6d854c7373f3d5b8dc29f9f3cea2aba881a2bb7af07ff20724ba2",
+        ("example52", "hbm-h", "gauss"):
+            "1f4ccc13838a6139c19f7fc7092093d6d88b78a8f96f2e2472de3419e2aa6959",
+    }
+
+    @pytest.mark.parametrize("name, algo, pert", sorted(PINNED))
+    def test_opt_out(self, tmp_path, name, algo, pert):
+        out = tmp_path / "run.csv"
+        x0 = ",".join(["3"] * builtin_problem(name).dimension)
+        code = main([
+            "opt", "--problem", name, "--algo", algo, *self.ALGO[algo],
+            "--perturb", self.PERTURB[pert], "--seed", "3", "--x0", x0, "--max-iter", "40",
+            "--no-tol", "--out", str(out), "--quiet",
+        ])
+        assert code == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == self.PINNED[(name, algo, pert)]
 
 
 class TestPaperOutputsPinned:
